@@ -68,10 +68,16 @@ def _is_local(obj, module) -> bool:
 
 
 def public_members(cls) -> list[tuple[str, object]]:
-    """Public methods/properties defined on ``cls`` itself (inherited and
-    dataclass-generated members excluded)."""
+    """Public methods/properties defined on ``cls`` itself or inherited
+    from a private (underscore-named) base, which has no section of its
+    own; members of public bases and dataclass-generated ones are
+    excluded."""
+    namespace: dict[str, object] = {}
+    for klass in reversed(cls.__mro__):
+        if klass is cls or klass.__name__.startswith("_"):
+            namespace.update(vars(klass))
     members = []
-    for name, obj in vars(cls).items():
+    for name, obj in namespace.items():
         if name.startswith("_"):
             continue
         if isinstance(obj, property) or inspect.isfunction(obj):

@@ -40,8 +40,9 @@ there (TTFT never sees the interconnect), and its KV pages then migrate
 over a :class:`~repro.serve.kvcache.KVTransfer` link — serialized, at
 the recipe's exact bytes/token — to a decode-role replica picked by
 ``decode_router``. The autoscaler applies to each pool independently.
-See :meth:`ServingCluster._run_disaggregated` and
-``docs/SERVING_GUIDE.md``.
+Both fleet shapes run through the one event loop of
+:meth:`ServingCluster.run`; a unified fleet simply never schedules a KV
+transfer. See ``docs/SERVING_GUIDE.md``.
 
 With one replica and no shared prefixes the cluster reproduces the
 single-engine result *exactly* — the reconciliation anchor that lets
@@ -65,8 +66,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..gpu.inference import step_time_cache_info
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
@@ -75,6 +74,7 @@ from .engine import (
     Response,
     ServingEngine,
     ServingResult,
+    _ResponseMetrics,
     arrival_order,
 )
 from .kvcache import KVTransfer, PagedKVCache, get_interconnect, kv_token_bytes
@@ -371,7 +371,7 @@ class AutoscalePolicy:
 
 
 @dataclass
-class FleetResult:
+class FleetResult(_ResponseMetrics):
     """Fleet outcome: per-replica results + cluster-level accounting.
 
     For a disaggregated run, ``assignments`` maps each request to its
@@ -403,53 +403,6 @@ class FleetResult:
         """Fleet makespan: the slowest replica's virtual finish time."""
         return max((r.makespan_s for r in self.replica_results), default=0.0)
 
-    # -- cached metric views (mirrors ServingResult) -------------------
-    # Summary helpers must not rebuild million-entry Python lists (or
-    # re-sort them) per property access. Arrays are memoized on first
-    # use; `responses` is treated as frozen once any metric is read.
-    # Means use the unsorted array (same accumulation order, same
-    # float); percentiles use the sorted view (order statistics are
-    # permutation-invariant). `sorts_performed` lets tests pin the
-    # no-re-sort contract.
-
-    def _values(self, metric: str) -> np.ndarray:
-        cache = self.__dict__.setdefault("_metric_values", {})
-        arr = cache.get(metric)
-        if arr is None:
-            arr = np.asarray(
-                [getattr(r, metric) for r in self.responses], dtype=float
-            )
-            cache[metric] = arr
-        return arr
-
-    def _sorted_values(self, metric: str) -> np.ndarray:
-        cache = self.__dict__.setdefault("_metric_sorted", {})
-        arr = cache.get(metric)
-        if arr is None:
-            arr = np.sort(self._values(metric))
-            cache[metric] = arr
-            self.__dict__["_sorts"] = self.__dict__.get("_sorts", 0) + 1
-        return arr
-
-    @property
-    def sorts_performed(self) -> int:
-        """How many metric sorts this result has ever run (cache probe)."""
-        return self.__dict__.get("_sorts", 0)
-
-    @property
-    def total_tokens(self) -> int:
-        """Output tokens generated across the whole fleet."""
-        total = self.__dict__.get("_total_tokens")
-        if total is None:
-            total = sum(r.output_len for r in self.responses)
-            self.__dict__["_total_tokens"] = total
-        return total
-
-    @property
-    def throughput_tok_s(self) -> float:
-        """Fleet-level output tokens per second of virtual wall-clock."""
-        return self.total_tokens / self.makespan_s if self.makespan_s else 0.0
-
     @property
     def requests_per_s(self) -> float:
         """Completed requests per second of virtual wall-clock.
@@ -459,20 +412,6 @@ class FleetResult:
         care about completions, not just tokens.
         """
         return len(self.responses) / self.makespan_s if self.makespan_s else 0.0
-
-    @property
-    def mean_ttft_s(self) -> float:
-        """Mean time-to-first-token over all responses (seconds)."""
-        if not self.responses:
-            return 0.0
-        return float(np.mean(self._values("ttft_s")))
-
-    @property
-    def mean_tpot_s(self) -> float:
-        """Mean time-per-output-token over all responses (seconds)."""
-        if not self.responses:
-            return 0.0
-        return float(np.mean(self._values("tpot_s")))
 
     @property
     def preemptions(self) -> int:
@@ -506,12 +445,6 @@ class FleetResult:
     def peak_running(self) -> int:
         """Max concurrently decoding requests summed across replicas."""
         return sum(r.peak_running for r in self.replica_results)
-
-    def p99_ttft_s(self, q: float = 99.0) -> float:
-        """The ``q``-th percentile TTFT — the tail latency SLOs watch."""
-        if not self.responses:
-            return 0.0
-        return float(np.percentile(self._sorted_values("ttft_s"), q))
 
     @staticmethod
     def _meets_slo(
@@ -688,6 +621,23 @@ class _EventState:
                 dirty.discard(j)
             out.append(s)
         return out
+
+
+@dataclass
+class _Link:
+    """Per-run state of the one prefill→decode interconnect.
+
+    ``inflight`` is a heap of migrations ``(t_arrive, seq, dest,
+    handoff, tokens)`` keyed on their arrival at the decode replica
+    (``seq``, the export order, breaks ties); it stays empty in a
+    unified fleet. Transfers serialize on the link, so ``busy_until`` is
+    the instant the wire frees up for the next one. ``records`` keeps
+    one dict per migration, in export order.
+    """
+
+    inflight: list = field(default_factory=list)
+    busy_until: float = 0.0
+    records: list = field(default_factory=list)
 
 
 def _validated_stream(requests):
@@ -894,23 +844,24 @@ class ServingCluster:
         t_arr: float,
         events: list,
         state: _EventState,
-        role: str = "unified",
-        roles: list | None = None,
+        role: str,
+        roles: list,
         protect: frozenset = frozenset(),
     ) -> None:
         """Grow/retire live replicas toward the policy's target count.
 
-        In a disaggregated cluster this runs once per *pool* (``live`` is
-        that pool's replica indices and ``role`` the pool membership new
-        replicas get); ``protect`` shields replicas that look idle but
-        have a KV migration in flight toward them from retirement.
+        Runs once per *pool*: ``live`` is that pool's replica indices and
+        ``role`` the pool membership new replicas get (appended to
+        ``roles``). A unified fleet is one pool; a disaggregated one
+        scales its prefill pool at arrivals and its decode pool at
+        handoffs. ``protect`` shields replicas that look idle but have a
+        KV migration in flight toward them from retirement.
         """
         snaps = state.snapshots(live)
         target = self.autoscale.target(snaps)
         while len(live) < target:
             replicas.append(self._make_engine(role))
-            if roles is not None:
-                roles.append(role)
+            roles.append(role)
             live.append(len(replicas) - 1)
             if self.tracer is not None:
                 replicas[-1].tracer = self.tracer
@@ -946,9 +897,9 @@ class ServingCluster:
     ) -> None:
         """Route one arrival against live snapshots and submit it.
 
-        The shared arrival path of both event loops: snapshot the
-        routable replicas, ask the router, reject out-of-pool answers
-        loudly, record the assignment, enqueue on the chosen engine.
+        Snapshot the entry pool, ask the router, reject out-of-pool
+        answers loudly, record the assignment, enqueue on the chosen
+        engine.
         """
         snaps = state.snapshots(live)
         replica = router.route(request, snaps)
@@ -972,12 +923,13 @@ class ServingCluster:
         t: float,
         replicas: list[ServingEngine],
         live: list[int],
-        transfers: list | None = None,
+        link: _Link,
     ) -> None:
         """Record one fleet-wide gauge sample at virtual time ``t``.
 
         Preemptions are counted over *all* replicas (retired ones keep
-        their history); occupancy gauges read the live set only.
+        their history); occupancy gauges read the live set only. Link
+        gauges are sampled for disaggregated fleets only.
         """
         n_running = sum(replicas[j].n_running for j in live)
         n_waiting = sum(replicas[j].n_waiting for j in live)
@@ -996,11 +948,9 @@ class ServingCluster:
         metrics.gauge("step_cache_hit_rate").set(
             t, info["hits"] / lookups if lookups else 0.0
         )
-        if transfers is not None:
-            metrics.gauge("transfers_in_flight").set(t, len(transfers))
-            metrics.gauge("link_busy_s").set(
-                t, max(0.0, self._link_busy_until - t)
-            )
+        if self.disaggregated:
+            metrics.gauge("transfers_in_flight").set(t, len(link.inflight))
+            metrics.gauge("link_busy_s").set(t, max(0.0, link.busy_until - t))
 
     @staticmethod
     def _fleet_responses(
@@ -1012,18 +962,68 @@ class ServingCluster:
         }
         return [by_id[rid] for rid in input_ids]
 
+    def _pool_routers(self, n_entry: int) -> tuple[Router, Router | None]:
+        """The entry-pool router and (disaggregated) the decode-pool
+        router, each checked against its pool's size and reset.
+
+        Instances passed to the constructor are reused across runs, so
+        they must start every run like fresh ones — and one instance
+        cannot serve both pools: they would share rotation/load state
+        and silently change each other's assignments.
+        """
+        router = get_router(self._router_spec, n_entry)
+        pools = [("router", router, n_entry)]
+        decode_router = None
+        if self.disaggregated:
+            decode_router = get_router(self._decode_router_spec, self.n_decode)
+            if decode_router is router:
+                raise ValueError(
+                    "router and decode_router must be distinct instances: "
+                    "one instance would share routing state across both pools"
+                )
+            pools.append(("decode_router", decode_router, self.n_decode))
+        for name, pool_router, n in pools:
+            if pool_router.n_replicas != n:
+                raise ValueError(
+                    f"{name} built for {pool_router.n_replicas} replicas, "
+                    f"its pool has {n}"
+                )
+            pool_router.reset()
+        return router, decode_router
+
     def run(self, requests) -> FleetResult:
         """Serve ``requests`` through the global virtual-time event loop.
 
-        The loop repeatedly takes the earliest event: the next request
-        arrival (routed immediately against live replica snapshots, ties
-        to the lowest replica index) or the earliest replica step. A
-        replica whose step begins before an arrival executes first — the
-        scheduling decision at that instant cannot see the future — so
-        the whole fleet shares one coherent timeline. Event selection is
-        served from a next-event heap and routing snapshots from a delta
-        cache (see :class:`_EventState`), so each event costs O(log
-        replicas) instead of a linear fleet scan.
+        Three event types share one virtual timeline, processed earliest
+        first; ties resolve arrival, then transfer completion, then step,
+        so a decision taken at an instant never sees the future:
+
+        * **arrival** — the next request, routed by ``router`` against
+          live snapshots of the *entry pool* (every replica of a unified
+          fleet, the prefill pool of a disaggregated one) and submitted
+          there;
+        * **transfer completion** — a migrated request's KV reaches its
+          decode replica (``import_kv``) and becomes schedulable there;
+        * **step** — the replica with the earliest next event (ties to
+          the lowest index) advances one scheduler iteration, so a step
+          that begins before an arrival executes first. Only prefill-role
+          steps report ``handoff_ready`` requests; each is exported at
+          once (pages released on the source, shared prefixes surviving
+          via refcounts), placed on a decode replica by ``decode_router``
+          at that instant, and priced by ``kv_transfer``. Transfers
+          *serialize* on the one shared link, so concurrent handoffs
+          queue behind each other's byte time while the propagation
+          latency pipelines.
+
+        A unified fleet is the case where no transfer is ever scheduled:
+        its transfer queue stays empty. In a disaggregated fleet TTFT is
+        decided entirely in the prefill pool (the first token is produced
+        there before export), so interconnect bandwidth moves TPOT and
+        end-to-end latency, never TTFT.
+
+        Event selection is served from a next-event heap and routing
+        snapshots from a delta cache (see :class:`_EventState`), so each
+        event costs O(log replicas) instead of a linear fleet scan.
 
         ``requests`` may be a list (sorted and validated up front, and
         responses come back in input order) or any other iterable — a
@@ -1032,20 +1032,10 @@ class ServingCluster:
         one arrival at a time, so million-request traces never
         materialize; streamed input must already be in arrival order and
         responses come back in stream order.
-
-        A disaggregated cluster (``n_prefill``/``n_decode`` set) adds a
-        third event type — KV-transfer completions — and is dispatched
-        to the pool-aware loop; see the class docstring.
         """
-        if self.disaggregated:
-            return self._run_disaggregated(requests)
-        router = get_router(self._router_spec, self.n_replicas)
-        if router.n_replicas != self.n_replicas:
-            raise ValueError(
-                f"router built for {router.n_replicas} replicas, "
-                f"cluster has {self.n_replicas}"
-            )
-        router.reset()  # instances passed in must behave like fresh ones
+        disagg = self.disaggregated
+        n_entry = self.n_prefill if disagg else self.n_replicas
+        router, decode_router = self._pool_routers(n_entry)
         materialized = isinstance(requests, (list, tuple))
         if materialized:
             input_ids = [r.request_id for r in requests]
@@ -1054,19 +1044,33 @@ class ServingCluster:
             input_ids = []  # filled in stream order as arrivals are drawn
             pending = _validated_stream(requests)
         replicas = list(self.engines)  # autoscaling appends; base fleet stays
-        live = list(range(len(replicas)))
+        roles = list(self.roles)
+        entry_role = "prefill" if disagg else "unified"
+        live = [j for j, role in enumerate(roles) if role == entry_role]
+        live_d = [j for j, role in enumerate(roles) if role == "decode"]
         for engine in replicas:
             engine.begin_run()
         assignments: dict[str, int] = {}
+        decode_assignments: dict[str, int] = {}
         autoscale_events: list = []
+        link = _Link()
+        inflight = link.inflight
+        # Unified fleets never migrate KV, and may run a timing-only
+        # legacy ServingConfig that has no KV format to price.
+        token_bytes = kv_token_bytes(self.arch, self.recipe) if disagg else 0.0
         state = _EventState(replicas)
         nxt = next(pending, None)
         try:
             while True:
                 t_eng, idx = state.peek()
-                if nxt is not None and (t_eng is None or nxt.arrival_s <= t_eng):
-                    # Arrival event: consult the autoscaler, then route
-                    # against the live fleet at this instant.
+                t_tr = inflight[0][0] if inflight else None
+                if (
+                    nxt is not None
+                    and (t_eng is None or nxt.arrival_s <= t_eng)
+                    and (t_tr is None or nxt.arrival_s <= t_tr)
+                ):
+                    # Arrival: consult the autoscaler, then route against
+                    # the live entry pool at this instant.
                     request = nxt
                     nxt = next(pending, None)
                     if not materialized:
@@ -1079,125 +1083,8 @@ class ServingCluster:
                             request.arrival_s,
                             autoscale_events,
                             state,
-                        )
-                    if self.metrics is not None and self.metrics.due(
-                        request.arrival_s
-                    ):
-                        self._sample_fleet_metrics(
-                            self.metrics, request.arrival_s, replicas, live
-                        )
-                    self._route_and_submit(
-                        router, replicas, live, request, assignments, state
-                    )
-                elif t_eng is not None:
-                    # Step event: advance the replica with the earliest
-                    # next event (ties to the lowest index).
-                    state.pop_head()
-                    replicas[idx].step()
-                    state.touch(idx)
-                else:
-                    break  # no arrivals left, every replica drained
-        finally:
-            for engine in replicas:
-                engine.abort()
-            router.resize(self.n_replicas)  # reusable instance: undo growth
-        # Each replica reports its shard in original input order, exactly
-        # as a standalone engine would (reconciliation at n_replicas=1).
-        shard_ids: list[list[str]] = [[] for _ in range(len(replicas))]
-        for rid in input_ids:
-            shard_ids[assignments[rid]].append(rid)
-        results = [
-            engine.collect_ids(ids) for engine, ids in zip(replicas, shard_ids)
-        ]
-        if self.metrics is not None:
-            t_end = max((e.clock for e in replicas), default=0.0)
-            self._sample_fleet_metrics(self.metrics, t_end, replicas, live)
-            self.metrics.sample_final(t_end)
-        return FleetResult(
-            responses=self._fleet_responses(input_ids, results),
-            replica_results=results,
-            assignments=assignments,
-            router=router.name,
-            scheduler=replicas[0].scheduler.name,
-            autoscale_events=autoscale_events,
-        )
-
-    # -- disaggregated prefill/decode serving ---------------------------
-    def _run_disaggregated(self, requests: list[Request]) -> FleetResult:
-        """The pool-aware event loop: arrivals, steps, and KV transfers.
-
-        Three event types share one virtual timeline, processed earliest
-        first (ties: arrival, then transfer completion, then step — the
-        same decide-without-seeing-the-future rule as the unified loop):
-
-        * **arrival** — routed over the live *prefill* pool snapshots;
-        * **transfer completion** — a migrated request reaches its decode
-          replica (``import_kv``) and becomes schedulable there;
-        * **step** — the earliest replica advances one scheduler
-          iteration. A prefill-role step whose ``handoff_ready`` is
-          non-empty triggers exports immediately: pages are released on
-          the source (shared prefixes survive via refcounts), a decode
-          replica is chosen by ``decode_router`` at that instant, and the
-          migration is priced by ``kv_transfer`` — transfers *serialize*
-          on the link (one shared interconnect), so concurrent handoffs
-          queue behind each other's byte time, while the propagation
-          latency pipelines.
-
-        TTFT is decided entirely in the prefill pool (the first token is
-        produced there before export), so interconnect bandwidth moves
-        TPOT and end-to-end latency, never TTFT — the disaggregation
-        property the benchmark asserts.
-        """
-        prefill_router = get_router(self._router_spec, self.n_prefill)
-        decode_router = get_router(self._decode_router_spec, self.n_decode)
-        prefill_router.reset()
-        decode_router.reset()
-        materialized = isinstance(requests, (list, tuple))
-        if materialized:
-            input_ids = [r.request_id for r in requests]
-            pending = iter(arrival_order(requests))  # validates dup ids too
-        else:
-            input_ids = []
-            pending = _validated_stream(requests)
-        replicas = list(self.engines)
-        roles = list(self.roles)
-        live_p = [j for j, role in enumerate(roles) if role == "prefill"]
-        live_d = [j for j, role in enumerate(roles) if role == "decode"]
-        for engine in replicas:
-            engine.begin_run()
-        assignments: dict[str, int] = {}
-        decode_assignments: dict[str, int] = {}
-        autoscale_events: list = []
-        transfer_records: list[dict] = []
-        transfers: list[tuple] = []  # heap: (t_arrive, seq, dest, handoff, tokens)
-        self._transfer_seq = 0
-        self._link_busy_until = 0.0
-        token_bytes = kv_token_bytes(self.arch, self.recipe)
-        state = _EventState(replicas)
-        nxt = next(pending, None)
-        try:
-            while True:
-                t_eng, idx = state.peek()
-                t_tr = transfers[0][0] if transfers else None
-                if (
-                    nxt is not None
-                    and (t_eng is None or nxt.arrival_s <= t_eng)
-                    and (t_tr is None or nxt.arrival_s <= t_tr)
-                ):
-                    request = nxt
-                    nxt = next(pending, None)
-                    if not materialized:
-                        input_ids.append(request.request_id)
-                    if self.autoscale is not None:
-                        self._apply_autoscale(
-                            replicas,
-                            live_p,
-                            prefill_router,
-                            request.arrival_s,
-                            autoscale_events,
-                            state,
-                            role="prefill",
-                            roles=roles,
+                            entry_role,
+                            roles,
                         )
                     if self.metrics is not None and self.metrics.due(
                         request.arrival_s
@@ -1206,23 +1093,16 @@ class ServingCluster:
                             self.metrics,
                             request.arrival_s,
                             replicas,
-                            live_p + live_d,
-                            transfers=transfers,
+                            live + live_d,
+                            link,
                         )
                     self._route_and_submit(
-                        prefill_router,
-                        replicas,
-                        live_p,
-                        request,
-                        assignments,
-                        state,
+                        router, replicas, live, request, assignments, state
                     )
                 elif t_tr is not None and (t_eng is None or t_tr <= t_eng):
                     # Transfer completion: the migrated KV reaches its
                     # decode replica and the request queues there.
-                    t_arrive, _, dest, handoff, n_tokens = heapq.heappop(
-                        transfers
-                    )
+                    t_arrive, _, dest, handoff, n_tokens = heapq.heappop(inflight)
                     replicas[dest].import_kv(
                         handoff, t_arrive, transferred_tokens=n_tokens
                     )
@@ -1241,8 +1121,7 @@ class ServingCluster:
                                 live_d,
                                 decode_router,
                                 token_bytes,
-                                transfers,
-                                transfer_records,
+                                link,
                                 decode_assignments,
                                 autoscale_events,
                                 state,
@@ -1252,35 +1131,37 @@ class ServingCluster:
         finally:
             for engine in replicas:
                 engine.abort()
-            prefill_router.resize(self.n_prefill)
-            decode_router.resize(self.n_decode)
-        # A request finishes on exactly one replica: its decode replica,
-        # or its prefill replica when max_new_tokens == 1 (nothing left
-        # to generate after the first token — no transfer at all).
+            router.resize(n_entry)  # reusable instances: undo growth
+            if decode_router is not None:
+                decode_router.resize(self.n_decode)
+        # A request finishes on exactly one replica: the decode replica
+        # its KV migrated to, else its entry replica (unified fleets, and
+        # max_new_tokens == 1 requests that leave nothing to migrate).
+        # Each replica reports its share in input order, exactly as a
+        # standalone engine would (reconciliation at n_replicas=1).
+        shard_ids: list[list[str]] = [[] for _ in range(len(replicas))]
+        for rid in input_ids:
+            shard_ids[decode_assignments.get(rid, assignments[rid])].append(rid)
         results = [
-            engine.collect_ids(
-                [rid for rid in input_ids if rid in engine.finished]
-            )
-            for engine in replicas
+            engine.collect_ids(ids) for engine, ids in zip(replicas, shard_ids)
         ]
         if self.metrics is not None:
             t_end = max((e.clock for e in replicas), default=0.0)
             self._sample_fleet_metrics(
-                self.metrics, t_end, replicas, live_p + live_d,
-                transfers=transfers,
+                self.metrics, t_end, replicas, live + live_d, link
             )
             self.metrics.sample_final(t_end)
         return FleetResult(
             responses=self._fleet_responses(input_ids, results),
             replica_results=results,
             assignments=assignments,
-            router=prefill_router.name,
+            router=router.name,
             scheduler=replicas[0].scheduler.name,
             autoscale_events=autoscale_events,
             decode_assignments=decode_assignments,
-            decode_router=decode_router.name,
-            roles=roles,
-            transfers=transfer_records,
+            decode_router=decode_router.name if disagg else "",
+            roles=roles if disagg else [],
+            transfers=link.records,
         )
 
     def _start_transfer(
@@ -1292,8 +1173,7 @@ class ServingCluster:
         live_d: list[int],
         decode_router: Router,
         token_bytes: float,
-        transfers: list,
-        records: list[dict],
+        link: _Link,
         decode_assignments: dict[str, int],
         autoscale_events: list,
         state: _EventState,
@@ -1310,7 +1190,7 @@ class ServingCluster:
         handoff = replicas[src].export_kv(rid)
         state.touch(src)  # export released pages: src snapshot is stale
         if self.autoscale is not None:
-            inflight = frozenset(dest for _, _, dest, _, _ in transfers)
+            protect = frozenset(dest for _, _, dest, _, _ in link.inflight)
             self._apply_autoscale(
                 replicas,
                 live_d,
@@ -1318,9 +1198,9 @@ class ServingCluster:
                 handoff.export_s,
                 autoscale_events,
                 state,
-                role="decode",
-                roles=roles,
-                protect=inflight,
+                "decode",
+                roles,
+                protect=protect,
             )
         snaps = state.snapshots(live_d)
         dest = decode_router.route(handoff.request, snaps)
@@ -1340,15 +1220,14 @@ class ServingCluster:
                 f"zero-bandwidth interconnect: migrating {n_bytes:.0f} bytes "
                 f"for request {rid!r} would never complete"
             )
-        start = max(handoff.export_s, self._link_busy_until)
-        self._link_busy_until = start + occupancy
+        start = max(handoff.export_s, link.busy_until)
+        link.busy_until = start + occupancy
         t_arrive = start + self.kv_transfer.latency_s + occupancy
         decode_assignments[rid] = dest
         heapq.heappush(
-            transfers, (t_arrive, self._transfer_seq, dest, handoff, n_tokens)
+            link.inflight, (t_arrive, len(link.records), dest, handoff, n_tokens)
         )
-        self._transfer_seq += 1
-        records.append(
+        link.records.append(
             {
                 "request_id": rid,
                 "src": src,

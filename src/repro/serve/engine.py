@@ -208,30 +208,22 @@ class Response:
         return self.finish_s - self.arrival_s
 
 
-@dataclass
-class ServingResult:
-    """Batch outcome: responses (input order) + aggregate accounting."""
+class _ResponseMetrics:
+    """Memoized latency/throughput views over ``self.responses``.
 
-    responses: list[Response]
-    stages: StageTimes  # aggregate prefill/decode seconds across all steps
-    makespan_s: float  # last finish time (virtual clock)
-    n_prefill_steps: int = 0
-    n_decode_steps: int = 0
-    n_mixed_steps: int = 0  # steps carrying both chunk and decode rows
-    preemptions: int = 0
-    peak_running: int = 0  # max concurrently decoding requests
-    kv: dict = field(default_factory=dict)  # PagedKVCache.stats() snapshot
-
-    # -- cached metric views -------------------------------------------
-    # At 1M responses the summary helpers must not rebuild a Python list
-    # (or re-sort it) on every property access. Value arrays and their
-    # sorted views are built once per metric and memoized on the
-    # instance; `responses` is treated as frozen once any metric has
-    # been read. Means use the unsorted array (accumulation order — and
-    # therefore the float result — is unchanged); percentiles use the
-    # sorted view, which is value-identical because order statistics
-    # don't depend on input permutation. `sorts_performed` counts actual
-    # np.sort calls so tests can pin the no-re-sort contract.
+    Shared by :class:`ServingResult` (one engine) and
+    :class:`~repro.serve.FleetResult` (a fleet); subclasses provide
+    ``responses`` and ``makespan_s``. At 1M responses the summary helpers
+    must not rebuild a Python list (or re-sort it) on every property
+    access: value arrays and their sorted views are built once per metric
+    and memoized on the instance, so ``responses`` is treated as frozen
+    once any metric has been read. Means use the unsorted array
+    (accumulation order — and therefore the float result — is
+    unchanged); percentiles use the sorted view, which is value-identical
+    because order statistics don't depend on input permutation.
+    ``sorts_performed`` counts actual ``np.sort`` calls so tests can pin
+    the no-re-sort contract.
+    """
 
     def _values(self, metric: str) -> np.ndarray:
         cache = self.__dict__.setdefault("_metric_values", {})
@@ -273,14 +265,14 @@ class ServingResult:
 
     @property
     def mean_ttft_s(self) -> float:
-        """Mean time-to-first-token over the batch (seconds)."""
+        """Mean time-to-first-token over all responses (seconds)."""
         if not self.responses:
             return 0.0
         return float(np.mean(self._values("ttft_s")))
 
     @property
     def mean_tpot_s(self) -> float:
-        """Mean time-per-output-token over the batch (seconds)."""
+        """Mean time-per-output-token over all responses (seconds)."""
         if not self.responses:
             return 0.0
         return float(np.mean(self._values("tpot_s")))
@@ -290,6 +282,21 @@ class ServingResult:
         if not self.responses:
             return 0.0
         return float(np.percentile(self._sorted_values("ttft_s"), q))
+
+
+@dataclass
+class ServingResult(_ResponseMetrics):
+    """Batch outcome: responses (input order) + aggregate accounting."""
+
+    responses: list[Response]
+    stages: StageTimes  # aggregate prefill/decode seconds across all steps
+    makespan_s: float  # last finish time (virtual clock)
+    n_prefill_steps: int = 0
+    n_decode_steps: int = 0
+    n_mixed_steps: int = 0  # steps carrying both chunk and decode rows
+    preemptions: int = 0
+    peak_running: int = 0  # max concurrently decoding requests
+    kv: dict = field(default_factory=dict)  # PagedKVCache.stats() snapshot
 
     def summary(self) -> dict[str, float]:
         """Headline serving metrics as one JSON-friendly dict."""
@@ -787,20 +794,13 @@ class ServingEngine:
                 f"{len(self._waiting)} waiting requests"
             )
 
-        tag = plan.tag_kinds
         groups: list = []
         for state, rows in plan.prefill:
             ctx = min(state.admit_ctx, state.cached + state.prefilled + rows)
-            groups.append((rows, ctx, "prefill") if tag else (rows, ctx))
-        if tag:
-            groups.extend(
-                (1, s.request.prompt_len + s.generated, "decode")
-                for s in plan.decode
-            )
-        else:
-            groups.extend(
-                (1, s.request.prompt_len + s.generated) for s in plan.decode
-            )
+            groups.append((rows, ctx, "prefill"))
+        groups.extend(
+            (1, s.request.prompt_len + s.generated, "decode") for s in plan.decode
+        )
         t = step_time(self.spec, self.arch, self.cfg, groups)
         self.clock += t
 

@@ -81,15 +81,44 @@ class TestRouters:
         assert router.route(Request("a", prompt_len=64)) == 0
         assert router.route(Request("b", prompt_len=64)) == 1
 
-    def test_router_instance_reset_between_runs(self):
+    @pytest.mark.parametrize(
+        "pools",
+        [
+            dict(n_replicas=2),
+            dict(n_prefill=2, n_decode=2, decode_router=RoundRobinRouter(2)),
+        ],
+        ids=["unified", "disaggregated"],
+    )
+    def test_router_instance_reset_between_runs(self, pools):
         # A router *instance* must behave like a fresh one on every run.
         reqs = _requests(5)
         router = RoundRobinRouter(2)
-        cluster = ServingCluster(ARCH, "mxfp4", n_replicas=2, router=router,
-                                 kv_token_budget=16_384)
-        first = cluster.run(reqs).assignments
-        second = cluster.run(reqs).assignments
-        assert first == second
+        cluster = ServingCluster(ARCH, "mxfp4", router=router,
+                                 kv_token_budget=16_384, **pools)
+        first = cluster.run(reqs)
+        second = cluster.run(reqs)
+        assert first.assignments == second.assignments
+        assert first.decode_assignments == second.decode_assignments
+        assert first.summary() == second.summary()
+
+    @pytest.mark.parametrize(
+        "routers, match",
+        [
+            (dict(router="shared", decode_router="shared"), "distinct instances"),
+            (dict(decode_router=RoundRobinRouter(5)), "decode_router built for 5"),
+            (dict(router=RoundRobinRouter(5)), "router built for 5"),
+        ],
+        ids=["shared-instance", "decode-size", "prefill-size"],
+    )
+    def test_disaggregated_pool_routers_validated(self, routers, match):
+        # One instance for both pools would share rotation state between
+        # them; an instance sized for another pool would route outside it.
+        shared = RoundRobinRouter(2)
+        routers = {k: shared if v == "shared" else v for k, v in routers.items()}
+        cluster = ServingCluster(ARCH, "mxfp4", n_prefill=2, n_decode=2,
+                                 kv_token_budget=16_384, **routers)
+        with pytest.raises(ValueError, match=match):
+            cluster.run(_requests(4))
 
     def test_router_determinism_under_fixed_seed(self):
         reqs = chat_workload(48, n_prefixes=4, prefix_len=256, seed=11, rate_rps=40.0)
@@ -113,6 +142,18 @@ class TestClusterReconciliation:
         assert fleet.total_tokens == single.total_tokens
         for a, b in zip(fleet.responses, single.responses):
             assert (a.ttft_s, a.tpot_s, a.finish_s) == (b.ttft_s, b.tpot_s, b.finish_s)
+
+    def test_legacy_serving_config_recipe(self):
+        # Timing-only legacy configs carry no KV format; a unified fleet
+        # never prices a KV migration, so it must not need one.
+        from repro.gpu.inference import ServingConfig
+
+        cfg = ServingConfig("legacy", act_fmt="mxfp4", weight_fmt="mxfp4")
+        reqs = _requests(4)
+        fleet = ServingCluster(ARCH, cfg, n_replicas=2, kv_token_budget=16_384).run(reqs)
+        single = ServingEngine(ARCH, cfg, kv_token_budget=16_384).run(reqs[0::2])
+        assert len(fleet.responses) == 4
+        assert fleet.replica_results[0].makespan_s == single.makespan_s
 
     def test_responses_keep_input_order(self):
         reqs = _requests(9)
