@@ -13,33 +13,28 @@ costs ~1.5x in prefill but vanishes in decode — reproducing Figure 11.
 
 Configuration
 -------------
-The canonical configuration object is :class:`repro.serve.QuantRecipe` —
-``simulate_inference``/``end_to_end_speedup``/``step_time`` accept a
-recipe, a recipe name, or a legacy :class:`ServingConfig`.
-``ServingConfig`` and the module-level ``CONFIGS`` dict are retained as
-thin deprecated shims: ``CONFIGS`` is now a view over the recipe registry
-(``repro.serve.get_recipe(name).to_serving_config()``), and new code
-should use recipes directly. The request-level front-end (continuous
-batching, TTFT/TPOT) lives in :class:`repro.serve.ServingEngine`, which is
-backed by :func:`step_time`.
+The one configuration object is :class:`repro.serve.QuantRecipe`:
+``simulate_inference``/``end_to_end_speedup``/``step_time`` take a recipe
+or a recipe name (resolved by ``QuantRecipe.from_name``) and price it
+directly — ``kv_format`` gives the KV stream, ``head_format`` the LM-head
+weight, ``integration`` the MX+ overheads, and ``min_tile_m``,
+``layer_overrides`` and ``n_layer_groups`` are read as they are. The
+request-level front-end (continuous batching, TTFT/TPOT) lives in
+:class:`repro.serve.ServingEngine`, which is backed by :func:`step_time`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..models.zoo import ArchSpec
 from .kernels import GemmShape, gemm_time
-from .spec import FORMAT_BITS, GPUSpec, RTX5090
+from .spec import GPUSpec, RTX5090
 
 __all__ = [
-    "ServingConfig",
-    "CONFIGS",
     "StageTimes",
-    "as_serving_config",
     "spread_layer_overrides",
     "step_time",
     "simulate_inference",
@@ -48,91 +43,6 @@ __all__ = [
     "clear_step_time_cache",
     "set_step_time_cache_limit",
 ]
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """Low-level timing knobs for one configuration (deprecated surface).
-
-    Prefer :class:`repro.serve.QuantRecipe`; this object is what
-    ``QuantRecipe.to_serving_config()`` produces and what the timing
-    functions consume internally.
-    """
-
-    name: str
-    act_fmt: str = "bf16"
-    weight_fmt: str = "bf16"
-    mxplus_software: bool = False  # Algorithm 1 extra sparse MMA on A
-    mxplus_hardware: bool = False  # Section 6 Tensor-Core integration
-    min_tile_m: int = 1  # kernel tile granularity on M (A8W4: 128)
-    # -- mixed-precision threading (QuantRecipe.to_serving_config) --------
-    kv_fmt: str = ""  # KV-cache stream format; "" follows act_fmt
-    lm_head_fmt: str = ""  # LM-head weight format; "" follows weight_fmt
-    # ((layer, fmt), ...): per-layer act+weight replacement, see
-    # QuantRecipe.layer_overrides; n_layer_groups declares the layer space
-    # (0 = physical arch layers, G > 0 = G equal groups spread over them).
-    layer_overrides: tuple = ()
-    n_layer_groups: int = 0
-
-
-#: The Figure 11/13 configuration names kept for the legacy ``CONFIGS`` view.
-_LEGACY_CONFIG_NAMES = (
-    "bf16",
-    "mxfp4",
-    "a-mxfp4+",
-    "mxfp8",
-    "mxfp4+",
-    "mxfp4++",
-    "a8w4",
-)
-
-
-class _ConfigsView(Mapping):
-    """Deprecated ``CONFIGS`` shim: a *live* view over the recipe registry.
-
-    Lookups resolve through ``repro.serve.get_recipe`` on every access
-    (so ``register_recipe(..., overwrite=True)`` is reflected here);
-    iteration stays pinned to the original Figure 11/13 names. New code
-    should use :func:`repro.serve.get_recipe` directly.
-    """
-
-    def __getitem__(self, name: str) -> ServingConfig:
-        if name not in _LEGACY_CONFIG_NAMES:
-            raise KeyError(
-                f"{name!r} is not a legacy CONFIGS entry; use "
-                "repro.serve.get_recipe for the full recipe registry"
-            )
-        from ..serve.recipe import get_recipe  # lazy: avoid import cycle
-
-        return get_recipe(name).to_serving_config()
-
-    def __iter__(self):
-        return iter(_LEGACY_CONFIG_NAMES)
-
-    def __len__(self) -> int:
-        return len(_LEGACY_CONFIG_NAMES)
-
-    def __repr__(self) -> str:
-        return f"_ConfigsView({dict(self)!r})"
-
-
-CONFIGS = _ConfigsView()
-
-
-def as_serving_config(cfg) -> ServingConfig:
-    """Normalize a ``QuantRecipe`` / recipe name / ``ServingConfig``."""
-    if isinstance(cfg, ServingConfig):
-        return cfg
-    if isinstance(cfg, str):
-        from ..serve.recipe import QuantRecipe
-
-        return QuantRecipe.from_name(cfg).to_serving_config()
-    to_serving = getattr(cfg, "to_serving_config", None)
-    if callable(to_serving):
-        return to_serving()
-    raise TypeError(
-        f"expected QuantRecipe, recipe name, or ServingConfig, got {cfg!r}"
-    )
 
 
 @dataclass
@@ -218,7 +128,7 @@ def _merge_groups(
 
 
 # Step-time memo: a multi-replica cluster replays the same (spec, arch,
-# cfg, groups) step shape once per replica per scheduler iteration, so
+# recipe, groups) step shape once per replica per scheduler iteration, so
 # decode sweeps are dominated by identical recomputation. The key covers
 # every GPUSpec field (specs are frozen but carry an unhashable dict).
 #
@@ -289,7 +199,7 @@ class _LRUCache:
         return len(self.data)
 
 
-_STEP_CACHE = _LRUCache(1 << 16)  # whole-step memo: (spec, arch, cfg, groups)
+_STEP_CACHE = _LRUCache(1 << 16)  # whole-step memo: (spec, arch, recipe, groups)
 _ATT_CACHE = _LRUCache(1 << 18)  # per-group attention gemm pairs
 _ROWS_CACHE = _LRUCache(1 << 14)  # projection-stack / LM-head times per m
 
@@ -393,25 +303,31 @@ def clear_step_time_cache() -> None:
 def step_time(
     spec: GPUSpec,
     arch: ArchSpec,
-    cfg,
+    recipe,
     row_groups: Sequence[tuple[int, int]],
 ) -> float:
     """Matmul seconds for one scheduler step over ``row_groups``.
 
-    ``row_groups`` is a list of ``(rows, ctx)`` pairs — ``rows`` token
-    rows attending over a KV context of ``ctx`` tokens — or, for *mixed*
-    prefill+decode batches, ``(rows, ctx, kind)`` triples where ``kind``
-    is ``"prefill"`` (a prompt chunk) or ``"decode"`` (single-token
-    generation rows). The linear projections and the LM head batch across
-    all groups (they only see total rows); the attention score/value
-    products run per distinct ``(ctx, kind)`` group, so a chunked-prefill
-    step co-scheduling a prompt chunk with decodes at the same context
-    prices two attention kernels, not one merged GEMM. A uniform batch —
-    one group — reproduces the classic per-forward cost, so
-    :func:`simulate_inference` totals and
+    ``recipe`` is a :class:`repro.serve.QuantRecipe` or a recipe name
+    (anything else raises ``TypeError``). ``row_groups`` is a list of
+    ``(rows, ctx)`` pairs — ``rows`` token rows attending over a KV
+    context of ``ctx`` tokens — or, for *mixed* prefill+decode batches,
+    ``(rows, ctx, kind)`` triples where ``kind`` is ``"prefill"`` (a
+    prompt chunk) or ``"decode"`` (single-token generation rows). The
+    linear projections and the LM head batch across all groups (they only
+    see total rows); the attention score/value products run per distinct
+    ``(ctx, kind)`` group, so a chunked-prefill step co-scheduling a
+    prompt chunk with decodes at the same context prices two attention
+    kernels, not one merged GEMM. A uniform batch — one group — reproduces
+    the classic per-forward cost, so :func:`simulate_inference` totals and
     :class:`repro.serve.ServingEngine` accounting agree exactly.
 
-    Results are memoized on the full (spec, arch, cfg, merged groups)
+    The MX+ integration overheads follow one rule for every matmul (base
+    layers, overridden layers, LM head): the software path (Algorithm 1)
+    applies where the activation operand is MX+, the hardware BCU
+    (Section 6) where either operand is.
+
+    Results are memoized on the full (spec, arch, recipe, merged groups)
     key — replicas of a :class:`repro.serve.ServingCluster` that hit the
     same step shape pay the roofline evaluation once. The kind tag is
     part of the key, so a mixed batch can never collide with the
@@ -423,7 +339,8 @@ def step_time(
     hits. All memos are size-capped LRU and bit-transparent — cached and
     uncached paths accumulate the identical floats in identical order.
     """
-    cfg = as_serving_config(cfg)
+    if recipe.__class__ is not QuantRecipe:
+        recipe = QuantRecipe.from_name(recipe)
     groups, m = _merge_groups(row_groups)
     if m == 0:
         return 0.0
@@ -436,13 +353,14 @@ def step_time(
     # counters only see the calls it could ever serve).
     key = None
     if len(groups) <= 8:
-        key = (_intern((spec_key, arch, cfg)), tuple(sorted(groups)))
+        key = (_intern((spec_key, arch, recipe)), tuple(sorted(groups)))
         cached = _STEP_CACHE.get(key)
         if cached is not None:
             return cached
 
-    kv_fmt = cfg.kv_fmt or cfg.act_fmt
-    head_fmt = cfg.lm_head_fmt or cfg.weight_fmt
+    software = recipe.integration == "software"
+    hardware = recipe.integration == "hardware"
+    min_tile_m = recipe.min_tile_m
     kv_dim = arch.n_kv_heads * arch.head_dim
     proj_shapes = (
         GemmShape(m, arch.dim, arch.dim),  # Q proj
@@ -454,21 +372,29 @@ def step_time(
         GemmShape(m, arch.dim, arch.hidden),  # down
     )
 
-    def _layer_time(
-        act_fmt: str, weight_fmt: str, layer_kv_fmt: str, software: bool, hardware: bool
-    ) -> float:
+    def _flags(act_fmt: str, weight_fmt: str) -> tuple[bool, bool]:
+        # The one MX+ flag rule: Algorithm 1's extra sparse MMA rides on an
+        # MX+ activation operand; the BCU engages when either operand is MX+.
+        return (
+            software and "+" in act_fmt,
+            hardware and "+" in act_fmt + weight_fmt,
+        )
+
+    def _layer_time(act_fmt: str, weight_fmt: str, layer_kv_fmt: str) -> float:
+        layer_software, layer_hardware = _flags(act_fmt, weight_fmt)
+
         def _time(shape: GemmShape, b_fmt: str) -> float:
             return gemm_time(
                 spec,
                 shape,
                 a_fmt=act_fmt,
                 b_fmt=b_fmt,
-                mxplus_software=software,
-                mxplus_hardware=hardware,
-                min_tile_m=cfg.min_tile_m,
+                mxplus_software=layer_software,
+                mxplus_hardware=layer_hardware,
+                min_tile_m=min_tile_m,
             )
 
-        fmt_key = (act_fmt, software, hardware, cfg.min_tile_m)
+        fmt_key = (act_fmt, layer_software, layer_hardware, min_tile_m)
         proj_key = (_intern((spec_key, arch, "proj", weight_fmt) + fmt_key), m)
         layer = _ROWS_CACHE.get(proj_key)
         if layer is None:
@@ -476,8 +402,9 @@ def step_time(
             _ROWS_CACHE.put(proj_key, layer)
         # attention: scores (rows x ctx x head_dim) and values; the K/V
         # operands stream from the KV cache in this layer's KV format
-        # (kv="auto" follows the layer's own activation format, so an
-        # overridden layer's attention is priced at its override — the
+        # (QuantRecipe.layer_kv_format: kv="auto" follows the layer's own
+        # activation format, so an overridden layer's attention is priced
+        # at its override, and unquantized attention keeps BF16 K/V — the
         # same semantics QuantRecipe.to_context gives the numeric path).
         # Each group's score/value pair is memoized on (rows, ctx): the
         # pair is independent of the other groups in the step, and decode
@@ -512,43 +439,23 @@ def step_time(
         att_cache.hits += att_hits
         return layer
 
-    if cfg.layer_overrides:
-        # Mixed-precision recipe: the MX+ integration overheads apply only
-        # where an MX+ format is actually in play, so flags are re-derived
-        # from the formats everywhere — base layers, overrides, LM head.
-        base_software = cfg.mxplus_software and "+" in cfg.act_fmt
-        base_hardware = cfg.mxplus_hardware and "+" in cfg.act_fmt + cfg.weight_fmt
-        head_software = cfg.mxplus_software and "+" in cfg.act_fmt
-        head_hardware = cfg.mxplus_hardware and "+" in cfg.act_fmt + head_fmt
-    else:
-        # Uniform recipes keep the caller's flags verbatim (the calibrated
-        # Figure 11-13 behavior, byte-identical to the committed artifacts).
-        base_software = head_software = cfg.mxplus_software
-        base_hardware = head_hardware = cfg.mxplus_hardware
-
-    base_layer = _layer_time(
-        cfg.act_fmt, cfg.weight_fmt, kv_fmt, base_software, base_hardware
-    )
+    base_layer = _layer_time(recipe.act, recipe.weight, recipe.kv_format)
     total = base_layer * arch.n_layers
-    if cfg.layer_overrides:
+    if recipe.layer_overrides:
         spread = spread_layer_overrides(
-            cfg.layer_overrides, cfg.n_layer_groups, arch.n_layers
+            recipe.layer_overrides, recipe.n_layer_groups, arch.n_layers
         )
         memo: dict[str, float] = {}
         for fmt in spread.values():
             if fmt not in memo:
-                memo[fmt] = _layer_time(
-                    fmt,
-                    fmt,
-                    cfg.kv_fmt or fmt,  # kv="auto" follows the override
-                    cfg.mxplus_software and "+" in fmt,
-                    cfg.mxplus_hardware and "+" in fmt,
-                )
+                memo[fmt] = _layer_time(fmt, fmt, recipe.layer_kv_format(fmt))
             total += memo[fmt] - base_layer
+    head_fmt = recipe.head_format
+    head_software, head_hardware = _flags(recipe.act, head_fmt)
     head_key = (
         _intern((
             spec_key, arch, "head", head_fmt,
-            cfg.act_fmt, head_software, head_hardware, cfg.min_tile_m,
+            recipe.act, head_software, head_hardware, min_tile_m,
         )),
         m,
     )
@@ -557,11 +464,11 @@ def step_time(
         head = gemm_time(  # LM head, once per forward
             spec,
             GemmShape(m, arch.vocab, arch.dim),
-            a_fmt=cfg.act_fmt,
+            a_fmt=recipe.act,
             b_fmt=head_fmt,
             mxplus_software=head_software,
             mxplus_hardware=head_hardware,
-            min_tile_m=cfg.min_tile_m,
+            min_tile_m=min_tile_m,
         )
         _ROWS_CACHE.put(head_key, head)
     total += head
@@ -572,7 +479,7 @@ def step_time(
 
 def simulate_inference(
     arch: ArchSpec,
-    cfg,
+    recipe,
     batch: int = 4,
     prompt_len: int = 1024,
     output_len: int = 64,
@@ -580,26 +487,31 @@ def simulate_inference(
 ) -> StageTimes:
     """Aggregate matmul time for prefill and decode stages (seconds).
 
-    ``cfg`` may be a :class:`repro.serve.QuantRecipe`, a recipe name, or a
-    legacy :class:`ServingConfig`.
+    ``recipe`` is a :class:`repro.serve.QuantRecipe` or a recipe name.
     """
-    cfg = as_serving_config(cfg)
-    prefill = step_time(spec, arch, cfg, [(batch * prompt_len, prompt_len)])
+    recipe = QuantRecipe.from_name(recipe)
+    prefill = step_time(spec, arch, recipe, [(batch * prompt_len, prompt_len)])
     decode = 0.0
     for t in range(output_len):
-        decode += step_time(spec, arch, cfg, [(batch, prompt_len + t)])
+        decode += step_time(spec, arch, recipe, [(batch, prompt_len + t)])
     return StageTimes(prefill_s=prefill, decode_s=decode)
 
 
 def end_to_end_speedup(
     arch: ArchSpec,
-    cfg,
+    recipe,
     batch: int = 4,
     prompt_len: int = 1024,
     output_len: int = 64,
     spec: GPUSpec = RTX5090,
 ) -> float:
-    """Speedup of ``cfg`` over the BF16 baseline (Figure 13)."""
+    """Speedup of ``recipe`` over the BF16 baseline (Figure 13)."""
     base = simulate_inference(arch, "bf16", batch, prompt_len, output_len, spec)
-    ours = simulate_inference(arch, cfg, batch, prompt_len, output_len, spec)
+    ours = simulate_inference(arch, recipe, batch, prompt_len, output_len, spec)
     return base.total_s / ours.total_s
+
+
+# Bound last: importing repro.serve imports this module (the engine prices
+# its steps with step_time), so the recipe type can only be bound once
+# everything above exists — whichever package is imported first.
+from ..serve.recipe import QuantRecipe  # noqa: E402

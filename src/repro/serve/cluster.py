@@ -766,8 +766,7 @@ class ServingCluster:
             n_replicas = n_prefill + n_decode
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if isinstance(recipe, str):
-            recipe = QuantRecipe.from_name(recipe)
+        recipe = QuantRecipe.from_name(recipe)
         self.arch = arch
         self.recipe = recipe
         self.spec = spec
@@ -1055,9 +1054,7 @@ class ServingCluster:
         autoscale_events: list = []
         link = _Link()
         inflight = link.inflight
-        # Unified fleets never migrate KV, and may run a timing-only
-        # legacy ServingConfig that has no KV format to price.
-        token_bytes = kv_token_bytes(self.arch, self.recipe) if disagg else 0.0
+        token_bytes = kv_token_bytes(self.arch, self.recipe)
         state = _EventState(replicas)
         nxt = next(pending, None)
         try:
@@ -1244,29 +1241,3 @@ class ServingCluster:
                 handoff.export_s, -1, "transfer", rid,
                 (src, dest, n_tokens, n_bytes, start, t_arrive),
             )
-
-    def run_sharded(
-        self,
-        requests: list[Request],
-        n_workers: int | None = None,
-        allow_approximate: bool = False,
-    ) -> FleetResult:
-        """Serve ``requests`` with the fleet partitioned across processes.
-
-        Convenience wrapper over :func:`repro.serve.shard.run_sharded`:
-        routes every request at plan time, runs each replica's shard in
-        its own worker process, and merges deterministically. For
-        shardable routers (``round-robin``, ``least-kv-load``,
-        ``prefix-affinity``) the merged :class:`FleetResult` is
-        bit-identical to :meth:`run`; load-feedback routers require
-        ``allow_approximate=True``. See :mod:`repro.serve.shard` for the
-        full determinism contract.
-        """
-        from .shard import run_sharded
-
-        return run_sharded(
-            self,
-            requests,
-            n_workers=n_workers,
-            allow_approximate=allow_approximate,
-        )

@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gpu.inference import StageTimes, as_serving_config, step_time
+from ..gpu.inference import StageTimes, step_time
 from ..gpu.spec import GPUSpec, RTX5090
 from ..models.zoo import ArchSpec
 from .kvcache import PagedKVCache
@@ -423,8 +423,8 @@ class ServingEngine:
         Full-size architecture descriptor (``repro.models.zoo.ARCHS``)
         driving the kernel-time model.
     recipe:
-        A :class:`QuantRecipe`, recipe name, or legacy ``ServingConfig``
-        (the latter timing-only: numeric mode requires a recipe).
+        A :class:`QuantRecipe` or recipe name (anything else raises
+        ``TypeError``).
     spec:
         GPU spec for the roofline model (default RTX 5090-class).
     kv_token_budget:
@@ -479,8 +479,7 @@ class ServingEngine:
         role: str = "unified",
         tracer=None,
     ) -> None:
-        if isinstance(recipe, str):
-            recipe = QuantRecipe.from_name(recipe)
+        recipe = QuantRecipe.from_name(recipe)
         if role not in ENGINE_ROLES:
             raise ValueError(
                 f"unknown engine role {role!r} (one of {', '.join(ENGINE_ROLES)})"
@@ -494,7 +493,6 @@ class ServingEngine:
         self.arch = arch
         self.recipe = recipe
         self.spec = spec
-        self.cfg = as_serving_config(recipe)
         self.kv_cache = kv_cache
         self.kv_token_budget = kv_cache.capacity_tokens
         self.max_batch = max_batch
@@ -503,17 +501,7 @@ class ServingEngine:
         self.tracer = tracer
         self.trace_replica = 0  # lane index in trace events (cluster sets it)
         self.scheduler: Scheduler = get_scheduler(scheduler)
-        self._qc = None
-        if model is not None:
-            if not isinstance(recipe, QuantRecipe):
-                # A bare ServingConfig carries timing knobs only — running
-                # the model without the matching QuantContext would pair
-                # quantized timing with unquantized tokens.
-                raise ValueError(
-                    "numeric mode (model=...) requires a QuantRecipe or "
-                    f"recipe name, got {type(recipe).__name__}"
-                )
-            self._qc = recipe.to_context()
+        self._qc = None if model is None else recipe.to_context()
         self.begin_run()
 
     # -- event-loop state ----------------------------------------------
@@ -801,7 +789,7 @@ class ServingEngine:
         groups.extend(
             (1, s.request.prompt_len + s.generated, "decode") for s in plan.decode
         )
-        t = step_time(self.spec, self.arch, self.cfg, groups)
+        t = step_time(self.spec, self.arch, self.recipe, groups)
         self.clock += t
 
         n_prefill_rows = sum(rows for _, rows in plan.prefill)

@@ -59,7 +59,7 @@ def format_kv_bits(fmt: str) -> float:
     """Average storage bits per KV element for format name ``fmt``.
 
     Delegates to :func:`repro.gpu.spec.format_storage_bits` — the shared
-    calibrated-table-then-registry lookup — with unknown names raising
+    baseline-table-then-registry lookup — with unknown names raising
     ``KeyError``.
 
     >>> format_kv_bits("bf16"), format_kv_bits("mxfp4"), format_kv_bits("mxfp4+")
@@ -74,11 +74,12 @@ def kv_token_bytes(arch: ArchSpec, recipe_or_fmt) -> float:
     One token keeps a key and a value vector (``n_kv_heads * head_dim``
     each) per layer; the per-element width comes from the recipe's
     resolved KV format (:attr:`repro.serve.QuantRecipe.kv_format`) or a
-    plain format name. For a mixed-precision recipe with ``kv="auto"``
-    the cache is stored per layer in that layer's own format (the
-    ``QuantRecipe.to_context`` semantics), so the per-token bytes sum
-    layer-by-layer over the spread overrides; an explicit ``kv=`` pins
-    every layer.
+    plain format name. For a mixed-precision recipe the bytes sum
+    layer-by-layer over the spread overrides, each layer stored in
+    :meth:`repro.serve.QuantRecipe.layer_kv_format` (``kv="auto"`` follows
+    the layer's own format — the ``QuantRecipe.to_context`` semantics —
+    an explicit ``kv=`` pins every layer, and unquantized attention keeps
+    every layer in BF16).
 
     >>> from repro.models.zoo import ARCHS
     >>> kv_token_bytes(ARCHS["llama-2-13b"], "bf16")
@@ -86,20 +87,14 @@ def kv_token_bytes(arch: ArchSpec, recipe_or_fmt) -> float:
     """
     fmt = getattr(recipe_or_fmt, "kv_format", recipe_or_fmt)
     per_layer_bytes = 2.0 * arch.n_kv_heads * arch.head_dim / 8.0
-    overrides = getattr(recipe_or_fmt, "layer_overrides", ())
-    if overrides:
-        from ..gpu.inference import spread_layer_overrides
-        from .recipe import AUTO
-
-        if getattr(recipe_or_fmt, "kv", None) == AUTO:
-            spread = spread_layer_overrides(
-                tuple(overrides),
-                getattr(recipe_or_fmt, "n_layer_groups", 0),
-                arch.n_layers,
+    if getattr(recipe_or_fmt, "layer_overrides", ()):
+        spread = recipe_or_fmt.spread_overrides(arch.n_layers)
+        return per_layer_bytes * sum(
+            format_kv_bits(
+                recipe_or_fmt.layer_kv_format(spread[i]) if i in spread else fmt
             )
-            return per_layer_bytes * sum(
-                format_kv_bits(str(spread.get(i, fmt))) for i in range(arch.n_layers)
-            )
+            for i in range(arch.n_layers)
+        )
     return per_layer_bytes * arch.n_layers * format_kv_bits(str(fmt))
 
 

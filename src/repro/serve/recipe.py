@@ -5,16 +5,22 @@ format each tensor role uses (activations, weights, KV cache, LM head,
 attention matmuls), how MX+ is integrated (software Algorithm 1 vs. the
 Tensor-Core BCU of Section 6), and the scheme scope (full direct-cast flow
 vs. the linear-only Table 7 protocol). ``QuantRecipe`` captures one such
-recipe as a frozen, validated dataclass and adapts it to every consumer::
+recipe as a frozen, validated dataclass, and every consumer reads it
+directly::
 
     recipe = QuantRecipe.from_name("a-mxfp4+")
-    recipe.to_context()         # numeric path: repro.nn / repro.eval / repro.quant
-    recipe.to_serving_config()  # timing path: repro.gpu.inference
-    ServingEngine(arch, recipe) # request-level serving: repro.serve.engine
+    recipe.to_context()          # numeric path: repro.nn / repro.eval / repro.quant
+    step_time(spec, arch, recipe, groups)  # timing path: repro.gpu.inference
+    ServingEngine(arch, recipe)  # request-level serving: repro.serve.engine
 
-Named recipes live in a registry (``register_recipe`` / ``get_recipe``)
-that replaces the old hardcoded ``repro.gpu.inference.CONFIGS`` dict;
-``CONFIGS`` remains as a thin deprecated view onto this registry.
+The timing and capacity paths share one resolution of the roles:
+:attr:`QuantRecipe.kv_format` / :meth:`QuantRecipe.layer_kv_format` (the KV
+stream, BF16 when attention is unquantized) and
+:attr:`QuantRecipe.head_format` (the LM-head weight). Consumers that accept
+a name coerce it in one place, :meth:`QuantRecipe.from_name`, which passes
+recipes through and rejects anything else with ``TypeError``.
+
+Named recipes live in a registry (``register_recipe`` / ``get_recipe``).
 
 Role fields hold *format names* (strings), not format objects, so recipes
 stay hashable, comparable, and trivially serializable; formats are
@@ -191,8 +197,12 @@ class QuantRecipe:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def from_name(spec: str) -> "QuantRecipe":
+    def from_name(spec) -> "QuantRecipe":
         """Resolve a paper-style name into a recipe (case-insensitive).
+
+        The single name-to-recipe coercion every consumer uses: a
+        ``QuantRecipe`` is returned as-is, and anything that is neither a
+        recipe nor a string raises ``TypeError``. Names resolve as:
 
         * a registered recipe name (``"a-mxfp4+"``, ``"a8w4"``, ...);
         * ``"baseline"`` / ``"bf16"``: no block quantization;
@@ -213,7 +223,13 @@ class QuantRecipe:
         >>> QuantRecipe.from_name("baseline") == QuantRecipe.from_name("bf16")
         True
         """
-        key = str(spec).strip().lower()
+        if isinstance(spec, QuantRecipe):
+            return spec
+        if not isinstance(spec, str):
+            raise TypeError(
+                f"expected a QuantRecipe or recipe name, got {spec!r}"
+            )
+        key = spec.strip().lower()
         if key == "baseline":
             key = BF16
         if key in _RECIPES:
@@ -303,9 +319,13 @@ class QuantRecipe:
 
         ``kv="auto"`` follows the activation format (the paper's serving
         protocol stores K/V in the activation's microscaling format);
-        otherwise the explicit override wins. Used by
+        otherwise the explicit override wins. When attention stays in
+        baseline precision (``attention="bf16"`` or
+        ``scope="linear-only"``) the cache holds BF16 K/V. Used by
         :func:`repro.serve.kvcache.kv_token_bytes` to turn a recipe into
-        KV bytes/token, and hence page sizing.
+        KV bytes/token, and hence page sizing, and by
+        :func:`repro.gpu.inference.step_time` to price the attention
+        operands.
 
         >>> get_recipe("mxfp4+").kv_format
         'mxfp4+'
@@ -313,11 +333,45 @@ class QuantRecipe:
         'bf16'
         >>> QuantRecipe.from_name("a:mxfp8,w:mxfp4,kv:mxfp4").kv_format
         'mxfp4'
+        >>> get_recipe("mxfp4").with_(attention="bf16").kv_format
+        'bf16'
         """
-        return self.kv if self.kv != AUTO else self.act
+        return self.layer_kv_format(self.act)
+
+    def layer_kv_format(self, layer_fmt: str) -> str:
+        """The KV format of a layer whose act/weight format is ``layer_fmt``.
+
+        BF16 when attention is unquantized; otherwise an explicit ``kv=``
+        pins every layer and ``kv="auto"`` follows the layer's own format
+        (the :meth:`to_context` semantics for overridden layers).
+
+        >>> get_recipe("mxfp4").layer_kv_format("mxfp8")
+        'mxfp8'
+        >>> get_recipe("mxfp4").with_(kv="mxfp4+").layer_kv_format("mxfp8")
+        'mxfp4+'
+        """
+        if self.scope != "full" or self.attention == BF16:
+            return BF16
+        return layer_fmt if self.kv == AUTO else self.kv
+
+    @property
+    def head_format(self) -> str:
+        """The resolved LM-head weight format name.
+
+        ``lm_head="auto"`` follows ``weight``; ``lm_head="bf16"`` and
+        ``scope="linear-only"`` leave the head in BF16.
+
+        >>> get_recipe("a8w4").head_format
+        'mxfp4'
+        >>> get_recipe("mxfp4").with_(scope="linear-only").head_format
+        'bf16'
+        """
+        if self.scope != "full" or self.lm_head == BF16:
+            return BF16
+        return self.weight if self.lm_head == AUTO else self.lm_head
 
     # ------------------------------------------------------------------
-    # adapters: the one recipe object feeds both repo paths
+    # adapter: the numeric path (the timing path reads the recipe itself)
     # ------------------------------------------------------------------
     def to_context(self):
         """Adapt to the numeric path: a :class:`repro.nn.quantize.QuantContext`.
@@ -355,29 +409,6 @@ class QuantRecipe:
                 n_layer_groups=0,
             )
         return base
-
-    def to_serving_config(self):
-        """Adapt to the timing path: a :class:`repro.gpu.inference.ServingConfig`.
-
-        ``kv="auto"`` is passed through as the empty ``kv_fmt`` sentinel
-        (not eagerly resolved to the base activation format) so that
-        ``step_time`` can let an overridden layer's attention operands
-        follow that layer's own format — mirroring :meth:`to_context`.
-        """
-        from ..gpu.inference import ServingConfig
-
-        return ServingConfig(
-            name=self.name,
-            act_fmt=self.act,
-            weight_fmt=self.weight,
-            mxplus_software=self.integration == "software",
-            mxplus_hardware=self.integration == "hardware",
-            min_tile_m=self.min_tile_m,
-            kv_fmt="" if self.kv == AUTO else self.kv,
-            lm_head_fmt=self.weight if self.lm_head == AUTO else self.lm_head,
-            layer_overrides=self.layer_overrides,
-            n_layer_groups=self.n_layer_groups,
-        )
 
     # ------------------------------------------------------------------
     # serialization (tuned-recipe frontiers persist recipes as JSON)
@@ -420,7 +451,7 @@ class QuantRecipe:
 
 
 # ----------------------------------------------------------------------
-# recipe registry (replaces repro.gpu.inference.CONFIGS)
+# recipe registry
 # ----------------------------------------------------------------------
 _RECIPES: dict[str, QuantRecipe] = {}
 

@@ -143,18 +143,6 @@ class TestClusterReconciliation:
         for a, b in zip(fleet.responses, single.responses):
             assert (a.ttft_s, a.tpot_s, a.finish_s) == (b.ttft_s, b.tpot_s, b.finish_s)
 
-    def test_legacy_serving_config_recipe(self):
-        # Timing-only legacy configs carry no KV format; a unified fleet
-        # never prices a KV migration, so it must not need one.
-        from repro.gpu.inference import ServingConfig
-
-        cfg = ServingConfig("legacy", act_fmt="mxfp4", weight_fmt="mxfp4")
-        reqs = _requests(4)
-        fleet = ServingCluster(ARCH, cfg, n_replicas=2, kv_token_budget=16_384).run(reqs)
-        single = ServingEngine(ARCH, cfg, kv_token_budget=16_384).run(reqs[0::2])
-        assert len(fleet.responses) == 4
-        assert fleet.replica_results[0].makespan_s == single.makespan_s
-
     def test_responses_keep_input_order(self):
         reqs = _requests(9)
         fleet = ServingCluster(ARCH, "mxfp4", n_replicas=3, kv_token_budget=16_384).run(reqs)

@@ -24,7 +24,7 @@ class TestByteAccounting:
         assert format_kv_bits("mxfp4+") == 4.5
 
     def test_format_bits_fallback_to_encoder(self):
-        # mxint8 is not in FORMAT_BITS; falls back to bits_per_element().
+        # Block formats report their own bits_per_element().
         assert format_kv_bits("mxint8") == pytest.approx(8.25)
 
     def test_kv_token_bytes_formula(self):
@@ -38,6 +38,15 @@ class TestByteAccounting:
         assert kv_token_bytes(ARCH, recipe) == kv_token_bytes(ARCH, "mxfp4+")
         mixed = QuantRecipe.from_name("a:mxfp8,w:mxfp4,kv:mxfp4")
         assert kv_token_bytes(ARCH, mixed) == kv_token_bytes(ARCH, "mxfp4")
+        # Unquantized attention keeps the cache in BF16, on every layer.
+        base = QuantRecipe("x", act="mxfp4", weight="mxfp4")
+        for unquantized in (
+            base.with_(attention="bf16"),
+            base.with_(scope="linear-only"),
+            base.with_(attention="bf16", layer_overrides={1: "mxfp8"}),
+        ):
+            assert unquantized.kv_format == "bf16"
+            assert kv_token_bytes(ARCH, unquantized) == kv_token_bytes(ARCH, "bf16")
 
     def test_byte_budget_capacity_ordering(self):
         budget = 4 << 30

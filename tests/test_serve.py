@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import available_formats, get_format, register_format
-from repro.gpu.inference import CONFIGS, ServingConfig, as_serving_config, simulate_inference, step_time
+from repro.gpu.inference import simulate_inference, step_time
 from repro.gpu.spec import RTX5090
 from repro.models.zoo import ARCHS, load_model
 from repro.nn.quantize import QuantContext, as_context
@@ -124,19 +124,15 @@ class TestRecipeAdapters:
         qc = QuantRecipe("kv8", act="mxfp4", weight="mxfp4", kv="mxfp8").to_context()
         assert qc.kv.name == "mxfp8"
 
-    def test_to_serving_config(self):
-        cfg = get_recipe("a-mxfp4+").to_serving_config()
-        assert isinstance(cfg, ServingConfig)
-        assert cfg.mxplus_software and not cfg.mxplus_hardware
-        cfg = get_recipe("a8w4").to_serving_config()
-        assert cfg.min_tile_m == 128
-
-    def test_as_serving_config_accepts_all_surfaces(self):
+    def test_step_time_accepts_recipe_or_name(self):
+        arch, groups = ARCHS["llama-2-7b"], [(4, 256)]
         recipe = get_recipe("mxfp4+")
-        direct = as_serving_config(recipe)
-        assert direct == as_serving_config("mxfp4+") == as_serving_config(direct)
+        assert QuantRecipe.from_name(recipe) is recipe
+        assert step_time(RTX5090, arch, "mxfp4+", groups) == step_time(
+            RTX5090, arch, recipe, groups
+        )
         with pytest.raises(TypeError):
-            as_serving_config(42)
+            step_time(RTX5090, arch, 42, groups)
 
     def test_as_context_accepts_all_surfaces(self):
         recipe = get_recipe("mxfp4")
@@ -154,25 +150,6 @@ class TestRecipeAdapters:
 
 
 class TestRecipeRegistry:
-    def test_configs_shim_matches_registry(self):
-        for name, cfg in CONFIGS.items():
-            assert cfg == get_recipe(name).to_serving_config()
-
-    def test_configs_shim_is_live(self):
-        from repro.serve.recipe import _RECIPES
-
-        original = get_recipe("mxfp4")
-        try:
-            register_recipe(original.with_(min_tile_m=64), overwrite=True)
-            assert CONFIGS["mxfp4"].min_tile_m == 64
-        finally:
-            _RECIPES["mxfp4"] = original
-        assert CONFIGS["mxfp4"].min_tile_m == 1
-
-    def test_configs_shim_rejects_non_legacy_names(self):
-        with pytest.raises(KeyError, match="get_recipe"):
-            CONFIGS["mxfp6"]  # registered recipe, but not a legacy entry
-
     def test_register_duplicate_raises(self):
         with pytest.raises(ValueError, match="already registered"):
             register_recipe(QuantRecipe("mxfp4", act="mxfp4", weight="mxfp4"))
@@ -341,10 +318,11 @@ class TestNumericMode:
     def tiny(self):
         return load_model("test-tiny")
 
-    def test_numeric_mode_rejects_timing_only_config(self, tiny):
-        cfg = ServingConfig("mxfp4", "mxfp4", "mxfp4")
-        with pytest.raises(ValueError, match="requires a QuantRecipe"):
-            ServingEngine(ARCHS["llama-2-7b"], cfg, model=tiny)
+    def test_engine_rejects_non_recipe(self, tiny):
+        with pytest.raises(TypeError, match="QuantRecipe or recipe name"):
+            ServingEngine(ARCHS["llama-2-7b"], 42)
+        with pytest.raises(TypeError, match="QuantRecipe or recipe name"):
+            ServingEngine(ARCHS["llama-2-7b"], 42, model=tiny)
 
     def test_tokens_match_generate(self, tiny):
         recipe = get_recipe("mxfp4+")

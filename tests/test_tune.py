@@ -253,6 +253,22 @@ class TestStepTimeThreading:
             RTX5090, ARCH, uniform_none, groups
         )
         assert 0 <= delta_mixed < delta_uniform
+        # The same flag rule whatever the recipe's shape: a head-only MX+
+        # recipe (the shape recipe_from_assignment emits) prices like its
+        # explicit-override spelling, and Algorithm 1 costs nothing when
+        # the activation operand is not MX+.
+        head_only = QuantRecipe("ho", act="mxfp4", weight="mxfp4",
+                                lm_head="mxfp4+", integration="hardware")
+        spelled = head_only.with_(name="ho2", layer_overrides={0: "mxfp4"},
+                                  n_layer_groups=2)
+        assert step_time(RTX5090, ARCH, head_only, groups) == step_time(
+            RTX5090, ARCH, spelled, groups
+        )
+        w_plus = QuantRecipe("wp", act="mxfp4", weight="mxfp4+",
+                             integration="software")
+        assert step_time(RTX5090, ARCH, w_plus, groups) == step_time(
+            RTX5090, ARCH, w_plus.with_(name="wp0", integration="none"), groups
+        )
 
     def test_kv_format_changes_attention_cost(self):
         groups = [(4, 4096)]
