@@ -375,12 +375,13 @@ def main() -> None:
             "Table 6 — quantization time",
             "MXFP4+ 1.00-1.05x of MXFP4; MXFP4++ 1.04-1.15x.",
             rows,
-            "Shape reproduced on our numpy encoders: MXFP4+ stays within "
-            "~1.5x of MXFP4 (near parity at longer inputs; short-input "
-            "ratios carry the most wall-clock jitter and can land on either "
-            "side of 1.0 on shared CPUs); MXFP4++ pays more (~2x) because "
-            "this implementation re-quantizes NBMs in a second full pass "
-            "where the paper's fused CUDA kernel does not.",
+            "Shape reproduced on our fused numpy kernels (one in-place "
+            "pass over cache-sized slabs per format): MXFP4+ stays near "
+            "parity with MXFP4 (short-input ratios carry the most "
+            "wall-clock jitter and can land on either side of 1.0 on shared "
+            "CPUs); MXFP4++ pays more (~1.5-1.8x) for its second-max pass "
+            "and separate BM/NBM scale-back, where the paper's fused CUDA "
+            "kernel hides most of that cost.",
         )
 
     t7 = load("tab07_schemes")
@@ -717,8 +718,9 @@ def main() -> None:
         section(
             L,
             "Infrastructure — batched MX+ encode speed",
-            "the tuner's sensitivity/search loop re-encodes every matmul "
-            "operand; the encode path must stay whole-tensor vectorized.",
+            "the bit-level layout and hardware model consume structured "
+            "encodings; the encode path must stay whole-tensor vectorized "
+            "(fake quantization shares its kernel but builds no encoding).",
             [
                 f"- 4096x4096 MXFP4+ encode: batched {f(es['batched_s'])} s vs "
                 f"per-block reference {f(es['reference_s_extrapolated'])} s "

@@ -6,7 +6,7 @@ import numpy as np
 from _util import print_table, run_once, save_result
 
 from repro.core import MXFP4, MXFP4Plus, mse
-from repro.core.blocks import from_blocks, to_blocks
+from repro.core.blocks import block_absmax
 from repro.core.elem import E2M1, floor_log2
 from repro.core.mx import MXFormat
 from repro.core.mxplus import MXPlusFormat
@@ -23,32 +23,22 @@ def _outlier_tensor(scale: float, seed: int = 0) -> np.ndarray:
 
 
 class MXPPNoOffset(MXPPFormat):
-    """MX++ without the +1 offset in the NBM shared-exponent rule."""
+    """MX++ without the +1 offset in the NBM shared-exponent rule.
 
-    def encode(self, x, axis=-1):
-        enc = super().encode(x, axis)
+    Overrides the block statistics both ``encode`` and the fused
+    ``quantize_dequantize`` read, so the ablation reaches either path.
+    """
+
+    def _block_stats(self, mags):
+        bm_index, shared_exp, _ = MXPlusFormat._block_stats(self, mags)
         # Recompute NBM scale without the offset: e = max2 - emax.
-        data = enc.blocked.data
-        absd = np.abs(data)
-        k = data.shape[-1]
-        is_bm = np.arange(k, dtype=np.int32) == enc.bm_index[..., None]
-        nbm_amax = np.max(np.where(is_bm, 0.0, absd), axis=-1)
-        e2 = floor_log2(nbm_amax)
-        flush = enc.shared_exp == ZERO_BLOCK_SENTINEL
-        shared = np.where(flush, 0, enc.shared_exp)
-        new_exp = np.clip(e2 - self.elem.emax, shared - 7, shared)
+        np.put_along_axis(mags, bm_index, 0.0, axis=-1)
+        _, nbm_amax = block_absmax(mags)
+        flush = shared_exp == ZERO_BLOCK_SENTINEL
+        shared = np.where(flush, 0, shared_exp)
+        new_exp = np.clip(floor_log2(nbm_amax) - self.elem.emax, shared - 7, shared)
         new_exp = np.where(nbm_amax == 0, shared, new_exp)
-        nbm_scale = np.exp2(new_exp.astype(np.float64))[..., None]
-        requant = self.elem.quantize(data / nbm_scale)
-        bm_vals = np.take_along_axis(
-            enc.elem_values, enc.bm_index[..., None].astype(np.int64), axis=-1
-        )
-        elem_values = np.where(is_bm, 0.0, requant)
-        np.put_along_axis(elem_values, enc.bm_index[..., None].astype(np.int64), bm_vals, axis=-1)
-        enc.elem_values = np.where(flush[..., None], 0.0, elem_values)
-        enc.reserved = np.where(flush, 0, (shared - new_exp)).astype(np.int32)
-        enc.nbm_shared_exp = np.where(flush, ZERO_BLOCK_SENTINEL, new_exp).astype(np.int32)
-        return enc
+        return bm_index, shared_exp, np.where(flush, ZERO_BLOCK_SENTINEL, new_exp).astype(np.int32)
 
 
 def test_ablation_mxpp_offset(benchmark):

@@ -1,9 +1,10 @@
 """MX+ encoder micro-benchmark: batched numpy vs the per-block reference.
 
-The recipe autotuner (:mod:`repro.tune`) hammers ``quantize_dequantize``
-— every sensitivity cell and every measured candidate runs the full model
-with per-matmul encodes — so the encode path must stay whole-tensor
-vectorized. This benchmark times a 4096x4096 MXFP4+ encode through the
+The bit-level layout and the hardware model consume structured encodings,
+so the encode path must stay whole-tensor vectorized. Fake quantization
+(``quantize_dequantize``, what the recipe autotuner and every model
+evaluation hammer) runs the same block kernel without building the
+encoding. This benchmark times a 4096x4096 MXFP4+ encode through the
 batched :meth:`~repro.core.mxplus.MXPlusFormat.encode` against the
 per-block :meth:`~repro.core.mxplus.MXPlusFormat.encode_reference`
 specification (identical output, asserted field-for-field in

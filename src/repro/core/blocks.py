@@ -4,8 +4,10 @@ Every block-based format in this library follows the same contract:
 
 ``quantize_dequantize(x, axis=-1)``
     Fake-quantize an array: values come back on the format's representable
-    grid, shape and dtype preserved. This is the workhorse for model
-    evaluation.
+    grid, shape and dtype preserved, and ``x`` itself is never written.
+    This is the workhorse for model evaluation. The MX, MX+ and MX++
+    formats compute it in one pass over their own block buffer; it equals
+    ``decode(encode(x))`` bit for bit without building the encoding.
 
 ``encode(x, axis=-1) -> Encoded`` / ``decode(Encoded)``
     Structured encode/decode exposing per-block fields (shared exponents,
@@ -24,7 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Blocked", "to_blocks", "from_blocks", "BlockFormat"]
+__all__ = [
+    "Blocked",
+    "to_blocks",
+    "from_blocks",
+    "block_absmax",
+    "block_slabs",
+    "BlockFormat",
+]
+
+# Elements per slab of the fused fake-quantization kernels: one slab plus
+# the kernel's per-element temporaries stays in a core's L2 cache across
+# the kernel's dozen passes instead of streaming through memory. Against
+# whole-tensor passes, slabbing raised perfbench numeric-ppl throughput by
+# 14% and cut its peak RSS by 13% (5 alternating pairs, 2-core Xeon with
+# 2 MiB L2 per core); numeric-decode, with small one-row operands, was even.
+_SLAB_ELEMS = 1 << 16
 
 
 @dataclass
@@ -39,22 +56,25 @@ class Blocked:
 
 
 def to_blocks(x: np.ndarray, block_size: int, axis: int = -1) -> Blocked:
-    """Reshape ``x`` into zero-padded blocks of ``block_size`` along ``axis``."""
+    """Reshape ``x`` into zero-padded blocks of ``block_size`` along ``axis``.
+
+    ``data`` is a fresh C-contiguous float64 buffer (one copy of ``x``), so
+    callers may overwrite it in place.
+    """
     x = np.asarray(x)
-    orig_dtype = x.dtype
-    work = np.moveaxis(x, axis, -1).astype(np.float64)
-    n = work.shape[-1]
-    pad = (-n) % block_size
-    if pad:
-        pad_width = [(0, 0)] * (work.ndim - 1) + [(0, pad)]
-        work = np.pad(work, pad_width)
-    new_shape = work.shape[:-1] + (work.shape[-1] // block_size, block_size)
+    moved = np.moveaxis(x, axis, -1)
+    n = moved.shape[-1]
+    nblocks = -(-n // block_size)
+    data = np.empty(moved.shape[:-1] + (nblocks, block_size))
+    flat = data.reshape(moved.shape[:-1] + (nblocks * block_size,))
+    flat[..., :n] = moved
+    flat[..., n:] = 0.0
     return Blocked(
-        data=work.reshape(new_shape),
+        data=data,
         axis=axis,
         orig_len=n,
         orig_shape=x.shape,
-        orig_dtype=orig_dtype,
+        orig_dtype=x.dtype,
     )
 
 
@@ -64,6 +84,27 @@ def from_blocks(blocked: Blocked, data: np.ndarray | None = None) -> np.ndarray:
     flat = d.reshape(d.shape[:-2] + (-1,))[..., : blocked.orig_len]
     out = np.moveaxis(flat, -1, blocked.axis)
     return out.reshape(blocked.orig_shape).astype(blocked.orig_dtype, copy=False)
+
+
+def block_absmax(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position ``(..., nblocks, 1)`` and value ``(..., nblocks)`` of each
+    block's largest entry of ``mags`` (magnitudes, blocks on the last axis).
+
+    The first maximum wins ties, and a NaN counts as the largest, so a
+    block holding one reports a NaN maximum. ``argmax`` plus a gather is
+    cheaper than ``max`` over short block rows.
+    """
+    idx = np.argmax(mags, axis=-1)[..., None]
+    return idx, np.take_along_axis(mags, idx, axis=-1)[..., 0]
+
+
+def block_slabs(data: np.ndarray) -> list[np.ndarray]:
+    """Consecutive whole-block row slabs of about ``_SLAB_ELEMS``
+    elements each, as writable views ``(rows, k)`` of the C-contiguous
+    blocks ``data`` (``(..., nblocks, k)``, e.g. :attr:`Blocked.data`)."""
+    rows = data.reshape(-1, data.shape[-1])
+    step = max(1, _SLAB_ELEMS // data.shape[-1])
+    return [rows[i : i + step] for i in range(0, rows.shape[0], step)]
 
 
 class BlockFormat:

@@ -32,14 +32,14 @@ __all__ = [
 ]
 
 
-def round_half_even(x: np.ndarray) -> np.ndarray:
+def round_half_even(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Round to nearest integer with ties to even (IEEE default rounding).
 
     ``np.round`` already implements banker's rounding; this wrapper exists so
     the rounding rule used across the library is named and testable in one
-    place.
+    place. Pass ``out=x`` to round a float array in place.
     """
-    return np.round(x)
+    return np.round(x, out=out)
 
 
 def floor_log2(x: np.ndarray) -> np.ndarray:
@@ -128,21 +128,36 @@ class FloatCodec:
 
         Round-to-nearest-even in the format's mantissa space; magnitudes
         above ``max_normal`` saturate; magnitudes that round to zero flush
-        to (signed) zero.
+        to zero, signed like ``x`` (an exact ``-0.0`` input gives ``+0.0``).
+        NaN stays NaN. Returns a new float64 array.
         """
-        x = np.asarray(x, dtype=np.float64)
-        mag = np.abs(x)
-        sign = np.sign(x)
+        return self.quantize_inplace(np.array(x, dtype=np.float64))
 
-        exp = floor_log2(mag)
-        exp = np.maximum(exp, self.emin)  # subnormal range shares emin's ulp
-        ulp = np.exp2(exp.astype(np.float64) - self.mbits)
-        q = round_half_even(mag / ulp) * ulp
-        # Rounding up may carry into the next binade (e.g. 1.9999 -> 2.0);
-        # the result is still exactly representable so no fixup is needed,
-        # except at the very top where we saturate.
-        q = np.minimum(q, self.max_normal)
-        return (sign * q).astype(x.dtype if x.dtype.kind == "f" else np.float64)
+    def quantize_inplace(self, buf: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` written into ``buf``, a float64 array the caller
+        owns; returns ``buf``.
+
+        One ``frexp`` reads every element's binade, ``ldexp`` scales it so
+        the grid step becomes 1, :func:`round_half_even` rounds and ``ldexp``
+        scales back — exact power-of-two scalings, so the result is the
+        nearest grid point bit for bit. The block formats run this on their
+        own block buffers, so fake quantization allocates no per-element
+        temporaries besides the exponents.
+        """
+        np.add(buf, 0.0, out=buf)  # -0.0 -> +0.0; every other value unchanged
+        # Saturating first is the same as after: max_normal is on the grid
+        # and rounding is monotone.
+        np.clip(buf, -self.max_normal, self.max_normal, out=buf)
+        # floor(log2|x|) + 1 per element (0 for zeros and NaN)
+        _, e = np.frexp(buf, out=(None, np.empty(buf.shape, np.int32)))
+        # grid step 2**(max(floor(log2|x|), emin) - mbits): subnormals share
+        # emin's step
+        np.maximum(e, self.emin + 1, out=e)
+        np.subtract(self.mbits + 1, e, out=e)
+        np.ldexp(buf, e, out=buf)
+        round_half_even(buf, out=buf)
+        np.negative(e, out=e)
+        return np.ldexp(buf, e, out=buf)
 
     def representable_values(self) -> np.ndarray:
         """All non-negative representable magnitudes, ascending (for tests)."""
@@ -238,10 +253,15 @@ class IntCodec:
         return self.max_q / float(1 << self.frac_bits)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        return self.quantize_inplace(np.array(x, dtype=np.float64))
+
+    def quantize_inplace(self, buf: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` written into ``buf`` (float64, caller-owned)."""
         scale = float(1 << self.frac_bits)
-        q = np.clip(round_half_even(x * scale), -self.max_q, self.max_q)
-        return q / scale
+        np.multiply(buf, scale, out=buf)
+        round_half_even(buf, out=buf)
+        np.clip(buf, -self.max_q, self.max_q, out=buf)
+        return np.divide(buf, scale, out=buf)
 
     def encode_bits(self, x: np.ndarray) -> np.ndarray:
         q = round_half_even(np.asarray(x, dtype=np.float64) * (1 << self.frac_bits))

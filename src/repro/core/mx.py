@@ -5,7 +5,14 @@ Implements Eq. (1) of the paper:
     shared_exp = max(floor(log2(|x|))) - e_max,     X = 2**shared_exp
 
 with the shared exponent clamped to the E8M0 range ``[-127, 127]`` and
-elements converted with saturation, per the OCP MX specification v1.0.
+elements converted with saturation, per the OCP MX specification v1.0. A
+block whose largest magnitude is Inf or NaN gets the E8M0 NaN scale and
+decodes to NaN.
+
+``encode`` and ``quantize_dequantize`` share one kernel that rounds the
+scaled elements in place in a block buffer; fake quantization runs it slab
+by slab and scales each slab back instead of building an
+:class:`MXEncoded` and decoding it.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockFormat, from_blocks, to_blocks
+from .blocks import BlockFormat, block_absmax, block_slabs, from_blocks, to_blocks
 from .elem import E2M1, E2M3, E3M2, E4M3, E5M2, INT8_MX, FloatCodec, IntCodec, floor_log2
-from .scale import E8M0_MAX, E8M0_MIN
+from .scale import E8M0_MAX, E8M0_MIN, E8M0_NAN
 
 __all__ = [
     "MXEncoded",
@@ -54,19 +61,29 @@ class MXFormat(BlockFormat):
 
     # ------------------------------------------------------------------
     def _shared_exp(self, blocks: np.ndarray) -> np.ndarray:
-        """Per-block shared exponent per Eq. (1), clamped to E8M0 range."""
-        amax = np.max(np.abs(blocks), axis=-1)
-        exp = floor_log2(amax) - self.elem.emax
+        """Per-block shared exponent per Eq. (1), clamped to E8M0 range;
+        ``E8M0_NAN`` where the block's largest magnitude is Inf or NaN."""
+        _, amax = block_absmax(np.abs(blocks))
         # All-zero blocks get the minimum exponent; their elements quantize
         # to zero regardless of scale.
-        exp = np.where(amax == 0, E8M0_MIN, exp)
-        return np.clip(exp, E8M0_MIN, E8M0_MAX).astype(np.int32)
+        exp = np.where(amax == 0, E8M0_MIN, floor_log2(amax) - self.elem.emax)
+        exp = np.clip(exp, E8M0_MIN, E8M0_MAX)
+        return np.where(np.isfinite(amax), exp, E8M0_NAN).astype(np.int32)
+
+    def _round_blocks(self, buf: np.ndarray) -> np.ndarray:
+        """Overwrite the blocks ``buf`` (caller-owned) with their scaled
+        element values — :attr:`MXEncoded.elem_values` — and return the
+        shared exponents."""
+        shared_exp = self._shared_exp(buf)
+        np.ldexp(buf, -shared_exp[..., None], out=buf)
+        self.elem.quantize_inplace(buf)
+        buf[shared_exp == E8M0_NAN] = np.nan
+        return shared_exp
 
     def encode(self, x: np.ndarray, axis: int = -1) -> MXEncoded:
         blocked = to_blocks(x, self.block_size, axis)
-        shared_exp = self._shared_exp(blocked.data)
-        scale = np.exp2(shared_exp.astype(np.float64))[..., None]
-        elem_values = self.elem.quantize(blocked.data / scale)
+        elem_values = blocked.data.copy()
+        shared_exp = self._round_blocks(elem_values)
         return MXEncoded(shared_exp=shared_exp, elem_values=elem_values, blocked=blocked)
 
     def decode(self, enc: MXEncoded) -> np.ndarray:
@@ -74,7 +91,13 @@ class MXFormat(BlockFormat):
         return from_blocks(enc.blocked, enc.elem_values * scale)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        return self.decode(self.encode(x, axis))
+        """``decode(encode(x))`` bit for bit, computed in one block buffer,
+        one cache-sized slab at a time: round in place, scale back."""
+        blocked = to_blocks(x, self.block_size, axis)
+        for slab in block_slabs(blocked.data):
+            shared_exp = self._round_blocks(slab)
+            np.ldexp(slab, shared_exp[:, None], out=slab)
+        return from_blocks(blocked)
 
     def bits_per_element(self) -> float:
         return self.elem.bits + 8.0 / self.block_size

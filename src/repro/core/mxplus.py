@@ -14,6 +14,12 @@ chosen, Eq. 1), so its exponent field carries no information. MX+
 * Flush-to-zero: if ``floor(log2(BM)) <= -127 + e_max`` the whole block is
   flushed to zero and the biased shared exponent 0 is reserved to flag it
   (Section 4.1).
+* A block whose BM is Inf or NaN gets the E8M0 NaN scale and decodes to NaN.
+
+``encode`` and ``quantize_dequantize`` share one kernel that rounds a block
+buffer in place (block statistics, NBM rounding, BM overwrite, flush);
+fake quantization runs it slab by slab and scales each slab back instead of
+building an :class:`MXPlusEncoded` and decoding it.
 
 The ``decompose_bm`` helper implements Eq. (3): splitting the BM into two
 element-type-representable halves ``BM_H + BM_L`` for the software
@@ -26,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockFormat, from_blocks, to_blocks
+from .blocks import BlockFormat, block_absmax, block_slabs, from_blocks, to_blocks
 from .elem import E2M1, E2M3, E4M3, FloatCodec, floor_log2, round_half_even
-from .scale import E8M0_MAX, E8M0_MIN, ZERO_BLOCK_SENTINEL
+from .scale import E8M0_MAX, E8M0_MIN, E8M0_NAN, ZERO_BLOCK_SENTINEL
 
 __all__ = [
     "MXPlusEncoded",
@@ -49,7 +55,8 @@ class MXPlusEncoded:
     *extended-precision* scaled BM value (``2**e_max * 1.m``). ``bm_index``
     is the per-block position of the BM element; ``reserved`` carries the 3
     reserved bits (zero for MX+, the scale delta for MX++). Flushed blocks
-    have ``shared_exp == ZERO_BLOCK_SENTINEL`` and all-zero elements.
+    have ``shared_exp == ZERO_BLOCK_SENTINEL`` and all-zero elements;
+    non-finite blocks have ``shared_exp == E8M0_NAN`` and NaN elements.
     """
 
     shared_exp: np.ndarray  # (..., nblocks) int32 (sentinel => zero block)
@@ -81,8 +88,53 @@ class MXPlusFormat(BlockFormat):
         return self.elem.mbits + self.elem.ebits
 
     # ------------------------------------------------------------------
+    def _block_stats(self, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """BM index ``(..., nblocks, 1)``, shared exponent and NBM shared
+        exponent of every block of the magnitudes ``mags`` (Section 4.1).
+
+        The shared exponent is ``ZERO_BLOCK_SENTINEL`` for a flushed block
+        and ``E8M0_NAN`` for a non-finite one. MX+ scales NBMs with the
+        shared exponent, so its NBM exponent is the same array; MX++
+        overrides this to decouple it. ``mags`` may be overwritten.
+        """
+        bm_index, amax = block_absmax(mags)  # first max wins
+        e_bm = floor_log2(amax)
+        flush = e_bm <= (-127 + self.elem.emax)  # includes all-zero blocks
+        shared_exp = np.clip(e_bm - self.elem.emax, E8M0_MIN, E8M0_MAX)
+        shared_exp = np.where(flush, ZERO_BLOCK_SENTINEL, shared_exp)
+        shared_exp = np.where(np.isfinite(amax), shared_exp, E8M0_NAN).astype(np.int32)
+        return bm_index, shared_exp, shared_exp
+
+    def _round_blocks(self, buf: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Overwrite the blocks ``buf`` (caller-owned) with their scaled
+        element values — :attr:`MXPlusEncoded.elem_values` — in place.
+
+        Every step is one whole-tensor numpy op: block statistics, NBMs
+        scaled and rounded by the element codec, the BM slot overwritten on
+        its extended grid, flushed blocks zeroed, non-finite blocks NaN.
+        Returns ``(bm_index, shared_exp, nbm_shared_exp, bm_exp, nbm_exp)``;
+        the last two are the exponents that scale BMs and NBMs back
+        (``(..., nblocks, 1)``, 0 in flushed blocks; one array for MX+).
+        """
+        bm_index, shared_exp, nbm_shared_exp = self._block_stats(np.abs(buf))
+        flush = shared_exp == ZERO_BLOCK_SENTINEL
+        bm_exp = np.where(flush, 0, shared_exp)[..., None]
+        nbm_exp = (
+            bm_exp
+            if nbm_shared_exp is shared_exp
+            else np.where(flush, 0, nbm_shared_exp)[..., None]
+        )
+        bm = np.ldexp(np.take_along_axis(buf, bm_index, axis=-1), -bm_exp)
+        np.ldexp(buf, -nbm_exp, out=buf)
+        self.elem.quantize_inplace(buf)  # NBMs: standard MX elements
+        # BM element: extended mantissa anchored at 2**e_max (Eq. 2).
+        np.put_along_axis(buf, bm_index, self._quantize_bm(bm), axis=-1)
+        buf[flush] = 0.0
+        buf[shared_exp == E8M0_NAN] = np.nan
+        return bm_index, shared_exp, nbm_shared_exp, bm_exp, nbm_exp
+
     def encode(self, x: np.ndarray, axis: int = -1) -> MXPlusEncoded:
-        """Batched MX+ encode: every step is one whole-tensor numpy op.
+        """Batched encode on the shared block kernel.
 
         :meth:`encode_reference` is the per-block specification this is
         vectorized from; ``tests/test_properties_core.py`` asserts both
@@ -90,37 +142,14 @@ class MXPlusFormat(BlockFormat):
         asserts the speedup.
         """
         blocked = to_blocks(x, self.block_size, axis)
-        data = blocked.data
-        absd = np.abs(data)
-
-        bm_index = np.argmax(absd, axis=-1).astype(np.int32)  # first max wins
-        amax = np.max(absd, axis=-1)  # == |data|[bm_index], without a gather
-        e_bm = floor_log2(amax)
-
-        flush = e_bm <= (-127 + self.elem.emax)  # includes all-zero blocks
-        shared_exp = np.clip(e_bm - self.elem.emax, E8M0_MIN, E8M0_MAX).astype(np.int32)
-        shared_exp = np.where(flush, ZERO_BLOCK_SENTINEL, shared_exp)
-
-        safe_exp = np.where(flush, 0, shared_exp).astype(np.float64)
-        inv_scale = np.exp2(-safe_exp)[..., None]
-
-        # NBM elements: standard MX quantization against the shared scale.
-        elem_values = self.elem.quantize(data * inv_scale)
-
-        # BM element: extended mantissa anchored at 2**e_max (Eq. 2).
-        idx = bm_index[..., None].astype(np.int64)
-        bm_signed = np.take_along_axis(data, idx, axis=-1)[..., 0]
-        bm_scaled = self._quantize_bm(bm_signed * inv_scale[..., 0])
-        np.put_along_axis(elem_values, idx, bm_scaled[..., None], axis=-1)
-
-        elem_values[flush] = 0.0
-
+        elem_values = blocked.data.copy()
+        bm_index, shared_exp, nbm_shared_exp, _, _ = self._round_blocks(elem_values)
         return MXPlusEncoded(
             shared_exp=shared_exp,
             elem_values=elem_values,
-            bm_index=bm_index,
-            reserved=np.zeros_like(bm_index),
-            nbm_shared_exp=shared_exp,
+            bm_index=bm_index[..., 0].astype(np.int32),
+            reserved=shared_exp - nbm_shared_exp,  # MX++ scale delta; 0 for MX+
+            nbm_shared_exp=nbm_shared_exp,
             blocked=blocked,
         )
 
@@ -128,9 +157,10 @@ class MXPlusFormat(BlockFormat):
         """Per-block Python-loop encoder: the readable MX+ specification.
 
         One block at a time, exactly the rules of Section 4.1: pick the BM,
-        derive the shared scale, flush, quantize NBMs, requantize the BM on
-        the extended grid. Kept as the oracle the batched :meth:`encode` is
-        tested against, and as the baseline its speedup is measured from.
+        derive the shared scale, flush (or mark a non-finite block NaN),
+        quantize NBMs, requantize the BM on the extended grid. Kept as the
+        oracle the batched :meth:`encode` is tested against, and as the
+        baseline its speedup is measured from.
         """
         blocked = to_blocks(x, self.block_size, axis)
         data = blocked.data
@@ -144,6 +174,10 @@ class MXPlusFormat(BlockFormat):
             absb = np.abs(block)
             j = int(np.argmax(absb))  # first max wins, as in the batched path
             bm_index[i] = j
+            if not np.isfinite(absb[j]):  # Inf/NaN block: NaN scale
+                shared_exp[i] = E8M0_NAN
+                elem_values[i] = np.nan
+                continue
             e_bm = int(floor_log2(absb[j]))
             if e_bm <= (-127 + self.elem.emax):  # flush-to-zero block
                 shared_exp[i] = ZERO_BLOCK_SENTINEL
@@ -200,7 +234,14 @@ class MXPlusFormat(BlockFormat):
         return from_blocks(enc.blocked, out)
 
     def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        return self.decode(self.encode(x, axis))
+        """``decode(encode(x))`` bit for bit, computed in one block buffer,
+        one cache-sized slab at a time: round in place, then scale every
+        element (BM included) back by its block's shared exponent."""
+        blocked = to_blocks(x, self.block_size, axis)
+        for slab in block_slabs(blocked.data):
+            _, _, _, bm_exp, _ = self._round_blocks(slab)
+            np.ldexp(slab, bm_exp, out=slab)
+        return from_blocks(blocked)
 
     def bits_per_element(self) -> float:
         return self._bits_per_element

@@ -13,16 +13,20 @@ offset prevents the largest NBM from saturating after scaling — the paper's
     shared_exp_new = CLIP(e, {shared_exp - 7, shared_exp})
 
 so the delta from the BM's shared exponent fits the 3 reserved bits.
+
+MX++ reuses the MX+ block kernel with its own block statistics (the
+second-max pass below) and its own fake quantization, which scales BMs and
+NBMs back by their separate exponents; neither goes through ``encode``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import from_blocks
+from .blocks import block_absmax, block_slabs, from_blocks, to_blocks
 from .elem import E2M1, FloatCodec, floor_log2
-from .mxplus import MXPlusEncoded, MXPlusFormat
-from .scale import ZERO_BLOCK_SENTINEL
+from .mxplus import MXPlusFormat
+from .scale import E8M0_NAN, ZERO_BLOCK_SENTINEL
 
 __all__ = ["MXPPFormat", "MXFP4PlusPlus", "MXFP6PlusPlus", "MXFP8PlusPlus"]
 
@@ -33,42 +37,32 @@ class MXPPFormat(MXPlusFormat):
     def __init__(self, elem: FloatCodec, block_size: int = 32, name: str | None = None):
         super().__init__(elem, block_size, name or f"mx-{elem.name}++")
 
-    def encode(self, x: np.ndarray, axis: int = -1) -> MXPlusEncoded:
-        enc = super().encode(x, axis)
-        data = enc.blocked.data
-        absd = np.abs(data)
-        flush = enc.shared_exp == ZERO_BLOCK_SENTINEL
-
-        # Exponent of the largest NBM: mask out the BM position.
-        k = data.shape[-1]
-        is_bm = np.arange(k, dtype=np.int32) == enc.bm_index[..., None]
-        nbm_abs = np.where(is_bm, 0.0, absd)
-        nbm_amax = np.max(nbm_abs, axis=-1)
-        e2 = floor_log2(nbm_amax)
-
-        e = e2 - self.elem.emax + 1
-        shared = np.where(flush, 0, enc.shared_exp)
+    def _block_stats(self, mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """MX+ statistics plus the decoupled NBM shared exponent."""
+        bm_index, shared_exp, _ = super()._block_stats(mags)
+        # Largest NBM: mask out the BM position (an NBM tied with it counts).
+        np.put_along_axis(mags, bm_index, 0.0, axis=-1)
+        _, nbm_amax = block_absmax(mags)
+        e = floor_log2(nbm_amax) - self.elem.emax + 1
+        shared = np.where(shared_exp == ZERO_BLOCK_SENTINEL, 0, shared_exp)
         new_exp = np.clip(e, shared - 7, shared)
         # Blocks whose NBMs are all zero keep the BM scale (delta 0).
         new_exp = np.where(nbm_amax == 0, shared, new_exp)
-        delta = (shared - new_exp).astype(np.int32)
+        # Flushed and non-finite blocks carry the block's own marker.
+        marked = (shared_exp == ZERO_BLOCK_SENTINEL) | (shared_exp == E8M0_NAN)
+        return bm_index, shared_exp, np.where(marked, shared_exp, new_exp).astype(np.int32)
 
-        # Requantize NBMs against the finer scale, keeping the BM slot.
-        nbm_scale = np.exp2(new_exp.astype(np.float64))[..., None]
-        requant = self.elem.quantize(data / nbm_scale)
-        bm_vals = np.take_along_axis(
-            enc.elem_values, enc.bm_index[..., None].astype(np.int64), axis=-1
-        )
-        elem_values = np.where(is_bm, 0.0, requant)
-        np.put_along_axis(elem_values, enc.bm_index[..., None].astype(np.int64), bm_vals, axis=-1)
-        elem_values = np.where(flush[..., None], 0.0, elem_values)
-
-        enc.elem_values = elem_values
-        enc.reserved = np.where(flush, 0, delta).astype(np.int32)
-        enc.nbm_shared_exp = np.where(
-            flush, ZERO_BLOCK_SENTINEL, new_exp.astype(np.int32)
-        )
-        return enc
+    def quantize_dequantize(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
+        """``decode(encode(x))`` bit for bit, computed in one block buffer,
+        one cache-sized slab at a time: round in place, scale NBMs back by
+        the NBM exponent and the BM by the block's shared exponent."""
+        blocked = to_blocks(x, self.block_size, axis)
+        for slab in block_slabs(blocked.data):
+            bm_index, _, _, bm_exp, nbm_exp = self._round_blocks(slab)
+            bm = np.ldexp(np.take_along_axis(slab, bm_index, axis=-1), bm_exp)
+            np.ldexp(slab, nbm_exp, out=slab)
+            np.put_along_axis(slab, bm_index, bm, axis=-1)
+        return from_blocks(blocked)
 
 
 def MXFP4PlusPlus() -> MXPPFormat:

@@ -12,6 +12,7 @@ give correlated-but-distinct perplexities, like WikiText-2 vs C4 do.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,14 +88,15 @@ def _build_transitions(spec: CorpusSpec, rng: np.random.Generator) -> np.ndarray
 
 
 def _generate(p: np.ndarray, n: int, rng: np.random.Generator, start: int = 0) -> np.ndarray:
-    cdf = np.cumsum(p, axis=1)
-    u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
+    # bisect_left on Python lists is np.searchsorted(side="left") without
+    # its per-call overhead: the chain is sequential, one lookup per token.
+    cdf = np.cumsum(p, axis=1).tolist()
+    out = []
     state = start
-    for i in range(n):
-        state = int(np.searchsorted(cdf[state], u[i]))
-        out[i] = state
-    return out
+    for u in rng.random(n).tolist():
+        state = bisect_left(cdf[state], u)
+        out.append(state)
+    return np.array(out, dtype=np.int64)
 
 
 def make_corpus(spec: CorpusSpec) -> Corpus:

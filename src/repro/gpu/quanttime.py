@@ -1,12 +1,13 @@
 """Quantization-time measurement (Table 6).
 
 Unlike the other performance tables, quantization time is measured on
-*our own* conversion kernels: we time the vectorized MXFP4 / MXFP4+ /
-MXFP4++ encoders on (tokens x dim) activations and report time normalized
-to MXFP4. The paper's qualitative claims — MXFP4+ costs about the same as
-MXFP4 (the BM is found anyway while computing the shared scale) and
-MXFP4++ pays a small extra for the second-max — fall out of the kernel
-structure itself.
+*our own* conversion kernels: we time the fused MXFP4 / MXFP4+ / MXFP4++
+fake-quantization kernels (``quantize_dequantize``: one in-place pass per
+cache-sized slab of blocks, no structured encoding) on (tokens x dim)
+activations and report time normalized to MXFP4. The paper's qualitative
+claims — MXFP4+ costs about the same as MXFP4 (the BM is found anyway
+while computing the shared scale) and MXFP4++ pays a small extra for the
+second-max — fall out of the kernel structure itself.
 """
 
 from __future__ import annotations

@@ -20,13 +20,21 @@ def bf16_round(x: np.ndarray) -> np.ndarray:
     """Round an array to the nearest bfloat16 value (returned as float64).
 
     Round-to-nearest-even on the truncated 16 bits, matching hardware
-    BF16 conversion. NaN/Inf pass through unchanged.
+    BF16 conversion; finite values past the largest bfloat16 round to
+    ±Inf. NaN/Inf pass through unchanged. The rounding runs as in-place
+    integer ops on a float32 copy of ``x``.
     """
-    x32 = np.asarray(x, dtype=np.float32)
+    x32 = np.array(x, dtype=np.float32)  # owned copy, rounded in place
     bits = x32.view(np.uint32)
-    # round to nearest even: add 0x7FFF + lsb of the kept part
-    lsb = (bits >> 16) & 1
-    rounded = bits + 0x7FFF + lsb
-    out = (rounded & 0xFFFF0000).view(np.float32)
-    out = np.where(np.isfinite(x32), out, x32)
-    return out.astype(np.float64)
+    finite = np.isfinite(x32)
+    special = None if finite.all() else ~finite
+    saved = None if special is None else x32[special]
+    # round to nearest even: add 0x7FFF + lsb of the kept part, truncate
+    lsb = bits >> 16
+    lsb &= 1
+    lsb += 0x7FFF
+    bits += lsb
+    bits &= 0xFFFF0000
+    if special is not None:  # NaN payloads and Inf are restored verbatim
+        x32[special] = saved
+    return x32.astype(np.float64)
