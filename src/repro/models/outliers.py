@@ -30,6 +30,15 @@ from ..nn.transformer import TransformerLM
 __all__ = ["inject_outliers", "inject_qk_outliers", "verify_equivalence"]
 
 
+def _rescale(param, index, op: np.ufunc, scale: float) -> None:
+    """``param.data[index] = op(param.data[index], scale)`` on a copy that
+    is then rebound: a weight is immutable once quantised (see
+    :mod:`repro.nn.quantize`)."""
+    data = param.data.copy()
+    data[index] = op(data[index], scale)
+    param.data = data
+
+
 def inject_outliers(
     model: TransformerLM,
     channels: list[int],
@@ -44,18 +53,16 @@ def inject_outliers(
     """
     for block in model.blocks:
         for c in channels:
-            block.attn_norm.gain.data[c] *= scale
-            block.attn.wq.weight.data[c, :] /= scale
-            block.attn.wk.weight.data[c, :] /= scale
-            block.attn.wv.weight.data[c, :] /= scale
-
-            block.mlp_norm.gain.data[c] *= scale
-            block.mlp.w_gate.weight.data[c, :] /= scale
-            block.mlp.w_up.weight.data[c, :] /= scale
+            _rescale(block.attn_norm.gain, c, np.multiply, scale)
+            for linear in (block.attn.wq, block.attn.wk, block.attn.wv):
+                _rescale(linear.weight, c, np.divide, scale)
+            _rescale(block.mlp_norm.gain, c, np.multiply, scale)
+            for linear in (block.mlp.w_gate, block.mlp.w_up):
+                _rescale(linear.weight, c, np.divide, scale)
     if include_final_norm and model.lm_head is not None:
         for c in channels:
-            model.final_norm.gain.data[c] *= scale
-            model.lm_head.weight.data[c, :] /= scale
+            _rescale(model.final_norm.gain, c, np.multiply, scale)
+            _rescale(model.lm_head.weight, c, np.divide, scale)
 
 
 def inject_qk_outliers(model: TransformerLM, channels: list[int], scale: float) -> None:
@@ -67,8 +74,8 @@ def inject_qk_outliers(model: TransformerLM, channels: list[int], scale: float) 
     """
     for block in model.blocks:
         for c in channels:
-            block.attn.wq.weight.data[:, c] *= scale
-            block.attn.wk.weight.data[:, c] /= scale
+            _rescale(block.attn.wq.weight, (slice(None), c), np.multiply, scale)
+            _rescale(block.attn.wk.weight, (slice(None), c), np.divide, scale)
 
 
 def verify_equivalence(

@@ -1,4 +1,10 @@
-"""Optimizers for the training substrate."""
+"""Optimizers for the training substrate.
+
+A step rebinds each parameter's ``data`` to a new array instead of writing
+into it: a weight is immutable once quantised (see
+:mod:`repro.nn.quantize`), so the new array is what the next forward
+quantises.
+"""
 
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ class SGD:
                 continue
             v *= self.momentum
             v += p.grad
-            p.data -= self.lr * v
+            p.data = p.data - self.lr * v
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -74,7 +80,7 @@ class Adam:
             v += (1 - self.b2) * g * g
             mhat = m / (1 - self.b1**self._t)
             vhat = v / (1 - self.b2**self._t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

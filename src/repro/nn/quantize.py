@@ -13,11 +13,22 @@ configuration, e.g.::
 The canonical configuration surface is :class:`repro.serve.QuantRecipe`;
 ``QuantContext`` is the numeric execution object a recipe adapts to via
 ``QuantRecipe.to_context()`` (and ``named`` delegates to recipe parsing).
+
+Weights do not change while serving, so each one is quantised once:
+``quantize_weight`` keeps one cached quantised copy per weight array (see
+``_WEIGHT_CACHE``). The contract that keeps it fresh: **a weight is
+immutable once quantised.** Both the cached source array and its cached
+copy are made read-only, so an in-place write raises ``ValueError``
+instead of serving stale weights. Code that changes a weight (the
+optimisers, outlier injection, ``load_state_dict``) rebinds ``p.data`` to
+a new array, which the cache has never seen.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +36,51 @@ from ..core.blocks import BlockFormat
 from .bf16 import bf16_round
 
 __all__ = ["QuantContext", "BASELINE", "as_context"]
+
+#: Quantised weights, one slot per live weight array, keyed by ``id``. A
+#: slot is ``(weakref to the array, format, axis, bf16_base, output)``:
+#: the format is held strongly and compared with ``is`` (names and ids of
+#: dead formats can be reused), a different tag replaces the slot, and the
+#: weakref's callback drops the slot when the array dies.
+_WEIGHT_CACHE: dict[int, tuple] = {}
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    slot = _WEIGHT_CACHE.get(key)
+    if slot is not None and slot[0] is ref:
+        del _WEIGHT_CACHE[key]
+
+
+def _quantize_weight_cached(
+    fmt: BlockFormat | None, w: np.ndarray, axis: int, bf16_base: bool
+) -> np.ndarray:
+    """``fmt`` applied to ``w`` (BF16-rounded first under ``bf16_base``),
+    computed once per array.
+
+    Views bypass the cache: making a view read-only does not guard its
+    base against writes.
+    """
+    if fmt is None and not bf16_base:
+        return w
+    key = id(w)
+    slot = _WEIGHT_CACHE.get(key)
+    if (
+        slot is not None
+        and slot[0]() is w
+        and slot[1] is fmt
+        and slot[2] == axis
+        and slot[3] == bf16_base
+    ):
+        return slot[4]
+    base = bf16_round(w) if bf16_base else w
+    out = base if fmt is None else fmt.quantize_dequantize(base, axis=axis)
+    if w.base is not None:
+        return out
+    w.flags.writeable = False
+    out.flags.writeable = False
+    ref = weakref.ref(w, partial(_forget, key))
+    _WEIGHT_CACHE[key] = (ref, fmt, axis, bf16_base, out)
+    return out
 
 
 @dataclass
@@ -112,18 +168,20 @@ class QuantContext:
         return self.act.quantize_dequantize(self._base(x), axis=axis)
 
     def quantize_weight(self, w: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Quantize a weight operand along its reduction axis (input dim)."""
-        if self.weight is None:
-            return self._base(w)
-        return self.weight.quantize_dequantize(self._base(w), axis=axis)
+        """Quantize a weight operand along its reduction axis (input dim).
+
+        The result is cached per weight array and returned read-only; ``w``
+        itself becomes read-only too, because a weight is immutable once
+        quantised. To change a weight, rebind the parameter's ``data`` to
+        a new array. Views (``w.base is not None``) are not cached.
+        """
+        return _quantize_weight_cached(self.weight, w, axis, self.bf16_base)
 
     def quantize_head_weight(self, w: np.ndarray, axis: int = 0) -> np.ndarray:
         """Quantize the LM-head weight (``lm_head`` role, falls back to
-        the weight format)."""
+        the weight format); cached like :meth:`quantize_weight`."""
         fmt = self.lm_head if self.lm_head is not None else self.weight
-        if fmt is None:
-            return self._base(w)
-        return fmt.quantize_dequantize(self._base(w), axis=axis)
+        return _quantize_weight_cached(fmt, w, axis, self.bf16_base)
 
     def head_context(self) -> "QuantContext | None":
         """The context the LM-head matmul should run under.

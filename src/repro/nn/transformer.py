@@ -93,16 +93,16 @@ class TransformerLM(Module):
             )
             x = block(x, block_qc, layer_index=i)
         x = self.final_norm(x)
+        head_qc = qc if qc is None else qc.head_context()
         if self.lm_head is not None:
-            head_qc = qc if qc is None else qc.head_context()
             return self.lm_head(x, head_qc)
         # Tied head: reuse embedding weights; quantize both operands of the
-        # dot product as the paper does for the LM head.
+        # dot product as the paper does for the LM head, or neither when
+        # the head is excluded, exactly as the untied head does.
         w = self.embed.weight.swapaxes(0, 1)
-        if qc is not None:
+        if head_qc is not None:
             x = x.apply_ste(lambda a: qc.quantize_act(a, axis=-1))
-            if qc.quantize_lm_head:
-                w = w.apply_ste(lambda a: qc.quantize_head_weight(a, axis=0))
+            w = w.apply_ste(lambda a: qc.quantize_head_weight(a, axis=0))
         return x @ w
 
     def _positional(self, seq: int) -> Tensor:

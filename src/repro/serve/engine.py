@@ -1043,16 +1043,13 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     def _next_token(self, state: _Active) -> int:
-        """Greedy next token from the real model (numeric mode)."""
+        """Greedy next token from the real model (numeric mode): one step
+        of ``TransformerLM.generate``, so the engine equals it by
+        construction."""
         seq = np.concatenate(
             [np.asarray(state.request.prompt_tokens), np.array(state.tokens, dtype=int)]
         ) if state.tokens else np.asarray(state.request.prompt_tokens)
-        window = seq[-self.model.config.max_seq :]
-        from ..nn.tensor import no_grad
-
-        with no_grad():
-            logits = self.model(window[None, :], self._qc).data[0, -1]
-        return int(np.argmax(logits))
+        return int(self.model.generate(seq, 1, self._qc)[0])
 
     def _response(self, state: _Active, clock: float) -> Response:
         return Response(

@@ -3,6 +3,9 @@
 Gradients are checked against central finite differences.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -174,3 +177,19 @@ class TestGraphMechanics:
         t = Tensor(np.array([0.3, 1.7]), requires_grad=True)
         t.apply_ste(np.round).sum().backward()
         np.testing.assert_allclose(t.grad, [1.0, 1.0])
+
+    def test_backward_frees_graph(self):
+        # Each backward closure refers to its own output node, so a graph
+        # is a reference cycle; backward must break it, or every training
+        # step's activations wait for a full cyclic GC.
+        gc.disable()
+        try:
+            t = Tensor(np.ones(4), requires_grad=True)
+            hidden = t * 2.0
+            activation = weakref.ref(hidden.data)
+            (hidden * 3.0).sum().backward()
+            del hidden
+            assert activation() is None
+        finally:
+            gc.enable()
+        np.testing.assert_allclose(t.grad, [6.0] * 4)

@@ -145,6 +145,8 @@ class TestAllocation:
             def __call__(self, *a, **k):
                 raise RuntimeError("forward exploded")
 
+            generate = __call__  # the engine decodes through generate
+
         recipe = get_recipe("mxfp4")
         engine = ServingEngine(ARCH, recipe, kv_token_budget=4096, model=Boom())
         req = Request("r0", prompt_tokens=np.arange(8), max_new_tokens=4)

@@ -1,5 +1,7 @@
 """Tests for layers, the transformer LM, training, and quantized hooks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,20 @@ class TestTransformer:
         a = model(tokens, qc_with).data
         b = model(tokens, qc_without).data
         assert not np.allclose(a, b)
+
+    def test_tied_lm_head_excluded_like_untied(self):
+        # With quantize_lm_head=False neither head operand is quantised,
+        # tied or not: the tied model equals an untied one whose head is
+        # the same (transposed) embedding, run unquantised.
+        tied = TransformerLM(dataclasses.replace(CFG, tie_lm_head=True))
+        untied = TransformerLM(CFG)
+        state = tied.state_dict()
+        untied.load_state_dict({**state, "lm_head.weight": state["embed.weight"].T})
+        untied.lm_head.weight.data = untied.embed.weight.data.swapaxes(0, 1)
+        tokens = np.random.default_rng(11).integers(0, 31, (1, 17))
+        qc = QuantContext.named("mxfp4").with_(quantize_lm_head=False)
+        with no_grad():
+            np.testing.assert_array_equal(tied(tokens, qc).data, untied(tokens, qc).data)
 
 
 class TestQuantContext:
